@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .copies import footprints_of, contains_copy, FOOTPRINT_CAP
-from .covers import (CoverSolution, vertex_representativity,
-                     symmetric_vertex_representativity)
+from .covers import (CoverSolution, NODE_BUDGET, extremality_report,
+                     # unused: the tracer in bench/spans.py wraps these names
+                     symmetric_vertex_representativity,
+                     vertex_representativity)
 from .errors import (NotAHittingSetError, PreconditionError,
                      WeightConstructionError)
 from .graphs import Graph, bits_of, induced_subgraph, is_connected, \
@@ -171,23 +173,21 @@ class BoundaryReport:
 
 
 def check_extremal_boundary(pattern: Graph, host: Graph,
-                            cap: int = FOOTPRINT_CAP) -> BoundaryReport:
+                            cap: int = FOOTPRINT_CAP,
+                            node_budget: int = NODE_BUDGET) -> BoundaryReport:
     family = footprints_of(pattern, host, cap=cap)
     if not family.footprints:
         raise PreconditionError(
             "host contains no copy of the pattern; boundary conditions "
             "need a nonempty footprint family")
-    plain = vertex_representativity(pattern, host, cap=cap)
-    invariant = symmetric_vertex_representativity(pattern, host, cap=cap)
+    report = extremality_report(pattern, host, cap, node_budget)
+    plain, invariant = report.plain, report.invariant
     m = pattern.n
-    applicable = invariant.value == m * plain.value
-    if not applicable:
+    if not report.is_extremal:
         return BoundaryReport(pattern_order=m, plain=plain,
                               invariant=invariant, applicable=False)
     part = orbits(host)
-    x_mask = 0
-    for v in plain.witness:
-        x_mask |= 1 << v
+    x_mask = _as_mask(plain.witness, host.n, "witness")
     meeting = [oid for oid in range(part.count)
                if part.orbit_mask(oid) & x_mask]
     cond1_fail = tuple(
@@ -198,11 +198,9 @@ def check_extremal_boundary(pattern: Graph, host: Graph,
     meeting_mask = 0
     for oid in meeting:
         meeting_mask |= part.orbit_mask(oid)
-    cond2_fail = tuple(
-        fp for fp, fm in zip(family.footprints, family.masks())
-        if fm & ~meeting_mask
-    )
     masks = family.masks()
+    cond2_fail = tuple(
+        fp for fp, fm in zip(family.footprints, masks) if fm & ~meeting_mask)
     cond3_fail = []
     for oid in meeting:
         om = part.orbit_mask(oid)
@@ -248,9 +246,11 @@ class OrbitDensityReport:
 
 
 def check_orbit_density(pattern: Graph, host: Graph, marked=None,
-                        cap: int = FOOTPRINT_CAP) -> OrbitDensityReport:
+                        cap: int = FOOTPRINT_CAP,
+                        node_budget: int = NODE_BUDGET) -> OrbitDensityReport:
     family = footprints_of(pattern, host, cap=cap)
-    plain = vertex_representativity(pattern, host, cap=cap)
+    report = extremality_report(pattern, host, cap, node_budget)
+    plain = report.plain
     if marked is None:
         x = tuple(plain.witness)
     else:
@@ -263,15 +263,12 @@ def check_orbit_density(pattern: Graph, host: Graph, marked=None,
             raise PreconditionError(
                 f"marked set has size {len(x)} but the minimum is "
                 f"{plain.value}; orbit density needs a minimal set")
-    invariant = symmetric_vertex_representativity(pattern, host, cap=cap)
     m = pattern.n
-    if invariant.value != m * plain.value:
+    if not report.is_extremal:
         return OrbitDensityReport(pattern_order=m, marked=x,
                                   applicable=False)
     part = orbits(host)
-    x_mask = 0
-    for v in x:
-        x_mask |= 1 << v
+    x_mask = _as_mask(x, host.n, "marked set")
     touched = 0
     for fm in family.masks():
         touched |= fm
@@ -326,16 +323,15 @@ class OrbitContainmentReport:
 
 
 def check_orbit_pattern_containment(
-        pattern: Graph, host: Graph,
-        cap: int = FOOTPRINT_CAP) -> OrbitContainmentReport:
-    plain = vertex_representativity(pattern, host, cap=cap)
-    invariant = symmetric_vertex_representativity(pattern, host, cap=cap)
+        pattern: Graph, host: Graph, cap: int = FOOTPRINT_CAP,
+        node_budget: int = NODE_BUDGET) -> OrbitContainmentReport:
+    report = extremality_report(pattern, host, cap, node_budget)
     pre = (
         ("host_connected", is_connected(host)),
         ("pattern_connected", is_connected(pattern)),
         ("pattern_has_pendant", has_pendant_vertex(pattern)),
-        ("extremal", invariant.value == pattern.n * plain.value),
-        ("positive", invariant.value > 0),
+        ("extremal", report.is_extremal),
+        ("positive", report.invariant.value > 0),
     )
     applicable = all(v for _, v in pre)
     if not applicable:

@@ -161,7 +161,8 @@ def _cmd_check_orbit_sum(args):
 def _cmd_check_boundary(args):
     pattern = _load_graph(args.pattern)
     host = _load_graph(args.host)
-    report = check_extremal_boundary(pattern, host, cap=args.footprint_cap)
+    report = check_extremal_boundary(pattern, host, args.footprint_cap,
+                                     args.node_budget)
     ok = (not report.applicable) or report.all_hold
     return report.to_doc(), 0 if ok else 1, None
 
@@ -170,8 +171,8 @@ def _cmd_check_density(args):
     pattern = _load_graph(args.pattern)
     host = _load_graph(args.host)
     marked = None if args.set is None else _parse_vertices(args.set)
-    report = check_orbit_density(pattern, host, marked,
-                                 cap=args.footprint_cap)
+    report = check_orbit_density(pattern, host, marked, args.footprint_cap,
+                                 args.node_budget)
     ok = (not report.applicable) or report.holds
     return report.to_doc(), 0 if ok else 1, None
 
@@ -180,7 +181,8 @@ def _cmd_check_containment(args):
     pattern = _load_graph(args.pattern)
     host = _load_graph(args.host)
     report = check_orbit_pattern_containment(pattern, host,
-                                             cap=args.footprint_cap)
+                                             args.footprint_cap,
+                                             args.node_budget)
     ok = (not report.applicable) or report.holds
     return report.to_doc(), 0 if ok else 1, None
 

@@ -138,16 +138,15 @@ def enumerate_footprints(pattern: Graph, host: Graph,
 
 
 @lru_cache(maxsize=8192)
-def _footprints_cached(pattern: Graph, host: Graph) -> CopyFamily:
-    return enumerate_footprints(pattern, host, cap=FOOTPRINT_CAP)
+def _footprints_cached(pattern: Graph, host: Graph, cap: int) -> CopyFamily:
+    return enumerate_footprints(pattern, host, cap)
 
 
 def footprints_of(pattern: Graph, host: Graph,
                   cap: int = FOOTPRINT_CAP) -> CopyFamily:
-    """Cached variant of enumerate_footprints for the default cap."""
-    if cap == FOOTPRINT_CAP:
-        return _footprints_cached(pattern, host)
-    return enumerate_footprints(pattern, host, cap=cap)
+    """Cached enumerate_footprints.  The cache is keyed positionally, so
+    calls that leave ``cap`` out and calls that pass it share one entry."""
+    return _footprints_cached(pattern, host, cap)
 
 
 def contains_copy(pattern: Graph, host: Graph) -> bool:

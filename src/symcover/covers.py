@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .copies import CopyFamily, footprints_of, FOOTPRINT_CAP
 from .errors import ResourceLimitError
@@ -255,6 +256,15 @@ class ExtremalityReport:
 def extremality_report(pattern: Graph, host: Graph,
                        cap: int = FOOTPRINT_CAP,
                        node_budget: int = NODE_BUDGET) -> ExtremalityReport:
+    """Both covers and the extremality verdict, solved once: checks and
+    scans read this memoized report.  The cache is keyed positionally, so
+    calls that leave defaults out share an entry with calls that pass them."""
+    return _extremality_cached(pattern, host, cap, node_budget)
+
+
+@lru_cache(maxsize=4096)
+def _extremality_cached(pattern: Graph, host: Graph, cap: int,
+                        node_budget: int) -> ExtremalityReport:
     plain = vertex_representativity(pattern, host, cap, node_budget)
     invariant = symmetric_vertex_representativity(pattern, host, cap,
                                                   node_budget)

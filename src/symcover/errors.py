@@ -9,6 +9,7 @@ __all__ = [
     "NotAHittingSetError",
     "WeightConstructionError",
     "ResourceLimitError",
+    "VerificationError",
 ]
 
 
@@ -66,3 +67,7 @@ class ResourceLimitError(SymcoverError):
         self.limit = limit
         self.best_lower = best_lower
         self.best_upper = best_upper
+
+
+class VerificationError(SymcoverError):
+    """A result re-checked from its serialized form came out differently."""

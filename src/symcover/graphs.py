@@ -64,9 +64,6 @@ class Graph:
 
     # -- basic queries -----------------------------------------------------
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bits_of(self.rows[v]))
 

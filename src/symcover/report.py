@@ -22,8 +22,6 @@ def rat(x) -> int | str:
 
 def parse_rat(text) -> Fraction:
     """Inverse of ``rat`` (also accepts plain ints)."""
-    if isinstance(text, int):
-        return Fraction(text)
     return Fraction(text)
 
 

@@ -16,9 +16,9 @@ from itertools import combinations
 
 from .checks import neighborhood_profile
 from .copies import contains_copy, footprints_of
-from .covers import (vertex_representativity,
+from .covers import (extremality_report, vertex_representativity,
                      symmetric_vertex_representativity)
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError, ResourceLimitError, VerificationError
 from .graphs import (Graph, bits_of, canonical_graph, emit_graph6, generate,
                      is_connected, parse_graph6)
 from .symmetry import is_vertex_transitive
@@ -72,6 +72,12 @@ class SearchReport:
         }
 
 
+def _require_cap(n: int, cap: int, kind: str) -> None:
+    if n > cap:
+        raise ResourceLimitError(
+            f"{kind} enumeration capped at {cap} vertices", limit=cap)
+
+
 def enum_graphs(n: int, connected_only: bool = False,
                 regular_k: int | None = None) -> tuple[Graph, ...]:
     """Canonical representatives of the graphs on n vertices, optionally
@@ -79,18 +85,12 @@ def enum_graphs(n: int, connected_only: bool = False,
     if n < 0:
         raise PreconditionError("vertex count must be nonnegative")
     if regular_k is not None:
-        if n > REGULAR_CAP:
-            raise ResourceLimitError(
-                f"regular enumeration capped at {REGULAR_CAP} vertices",
-                limit=REGULAR_CAP)
+        _require_cap(n, REGULAR_CAP, "regular")
         if regular_k < 0:
             raise PreconditionError("regular degree must be nonnegative")
         pool = _regular_graphs(n, regular_k)
     else:
-        if n > UNCONSTRAINED_CAP:
-            raise ResourceLimitError(
-                f"unconstrained enumeration capped at {UNCONSTRAINED_CAP} "
-                f"vertices", limit=UNCONSTRAINED_CAP)
+        _require_cap(n, UNCONSTRAINED_CAP, "unconstrained")
         pool = _all_graphs(n)
     if connected_only:
         pool = tuple(g for g in pool if is_connected(g))
@@ -222,6 +222,20 @@ def _params(**kwargs) -> tuple[tuple[str, str], ...]:
     return tuple((key, str(value)) for key, value in kwargs.items())
 
 
+def _verdict(plain, invariant) -> str:
+    return f"plain={plain.value} invariant={invariant.value}"
+
+
+def _reverify(pattern: Graph, g6: str, verdict: str) -> None:
+    """Re-solve both covers, past the report memo, on the host parsed back
+    from its record; raise if the verdict changes."""
+    fresh = parse_graph6(g6)
+    again = _verdict(vertex_representativity(pattern, fresh),
+                     symmetric_vertex_representativity(pattern, fresh))
+    if again != verdict:
+        raise VerificationError(f"{g6}: {verdict}, re-solved {again}")
+
+
 def find_dense_counterexample(n_max: int, k_range) -> SearchReport:
     """Scan all k-regular graphs, k in k_range, on at most n_max vertices
     for one whose every neighborhood deficiency p satisfies 1 <= p < k/2.
@@ -229,10 +243,7 @@ def find_dense_counterexample(n_max: int, k_range) -> SearchReport:
     ks = sorted(set(k_range))
     if any(k < 0 for k in ks):
         raise PreconditionError("degrees must be nonnegative")
-    if n_max > REGULAR_CAP:
-        raise ResourceLimitError(
-            f"regular enumeration capped at {REGULAR_CAP} vertices",
-            limit=REGULAR_CAP)
+    _require_cap(n_max, REGULAR_CAP, "regular")
     start = time.perf_counter()
     records = []
     hits = []
@@ -249,7 +260,8 @@ def find_dense_counterexample(n_max: int, k_range) -> SearchReport:
                 g6 = emit_graph6(g)
                 if neighborhood_profile(g).hypothesis_met:
                     again = neighborhood_profile(parse_graph6(g6))
-                    assert again.hypothesis_met, "re-verification mismatch"
+                    if not again.hypothesis_met:
+                        raise VerificationError(f"{g6}: dense profile lost")
                     hits.append(g6)
                     records.append((g6, "dense-profile"))
                 else:
@@ -273,10 +285,7 @@ def classify_vt_extremal(d: int, n_max: int) -> SearchReport:
     (d+2) times the plain cover, both positive."""
     if d < 3:
         raise PreconditionError("tail parameter must be at least 3")
-    if n_max > REGULAR_CAP:
-        raise ResourceLimitError(
-            f"regular enumeration capped at {REGULAR_CAP} vertices",
-            limit=REGULAR_CAP)
+    _require_cap(n_max, REGULAR_CAP, "regular")
     pattern = generate(f"tailed-star:{d}")
     start = time.perf_counter()
     records = []
@@ -294,18 +303,10 @@ def classify_vt_extremal(d: int, n_max: int) -> SearchReport:
                 if not footprints_of(pattern, g).footprints:
                     records.append((g6, "no-copies"))
                     continue
-                plain = vertex_representativity(pattern, g)
-                invariant = symmetric_vertex_representativity(pattern, g)
-                verdict = (f"plain={plain.value} "
-                           f"invariant={invariant.value}")
-                if invariant.value == (d + 2) * plain.value:
-                    fresh = parse_graph6(g6)
-                    again_plain = vertex_representativity(pattern, fresh)
-                    again_inv = symmetric_vertex_representativity(pattern,
-                                                                  fresh)
-                    assert (again_plain.value == plain.value
-                            and again_inv.value == invariant.value), \
-                        "re-verification mismatch"
+                report = extremality_report(pattern, g)
+                verdict = _verdict(report.plain, report.invariant)
+                if report.is_extremal:
+                    _reverify(pattern, g6, verdict)
                     hits.append(g6)
                     records.append((g6, "extremal " + verdict))
                 else:
@@ -329,10 +330,7 @@ def scan_connected_extremal(d: int = 3, n_max: int = 7) -> SearchReport:
     plain cover above 1.  The flag list is expected empty."""
     if d < 1:
         raise PreconditionError("tail parameter must be positive")
-    if n_max > UNCONSTRAINED_CAP:
-        raise ResourceLimitError(
-            f"unconstrained enumeration capped at {UNCONSTRAINED_CAP} "
-            f"vertices", limit=UNCONSTRAINED_CAP)
+    _require_cap(n_max, UNCONSTRAINED_CAP, "unconstrained")
     pattern = generate(f"tailed-star:{d}")
     start = time.perf_counter()
     records = []
@@ -346,20 +344,14 @@ def scan_connected_extremal(d: int = 3, n_max: int = 7) -> SearchReport:
             if not footprints_of(pattern, g).footprints:
                 records.append((g6, "no-copies"))
                 continue
-            plain = vertex_representativity(pattern, g)
-            invariant = symmetric_vertex_representativity(pattern, g)
-            verdict = f"plain={plain.value} invariant={invariant.value}"
-            if invariant.value != (d + 2) * plain.value:
+            report = extremality_report(pattern, g)
+            verdict = _verdict(report.plain, report.invariant)
+            if not report.is_extremal:
                 records.append((g6, "not-extremal " + verdict))
                 continue
             hits.append(g6)
-            if plain.value > 1:
-                fresh = parse_graph6(g6)
-                again_plain = vertex_representativity(pattern, fresh)
-                again_inv = symmetric_vertex_representativity(pattern, fresh)
-                assert (again_plain.value == plain.value
-                        and again_inv.value == invariant.value), \
-                    "re-verification mismatch"
+            if report.plain.value > 1:
+                _reverify(pattern, g6, verdict)
                 violations.append(g6)
                 records.append((g6, "extremal-wide " + verdict))
             else:

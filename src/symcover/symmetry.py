@@ -124,7 +124,9 @@ class AutomorphismGroup:
         return self._elements
 
 
-def _compute_automorphisms(g: Graph, order_cap: int) -> AutomorphismGroup:
+@lru_cache(maxsize=4096)
+def _automorphism_group(g: Graph) -> AutomorphismGroup:
+    """The whole group, uncapped: orbits need only its generators."""
     n = g.n
     if n > VERTEX_CAP:
         raise ResourceLimitError(
@@ -151,22 +153,16 @@ def _compute_automorphisms(g: Graph, order_cap: int) -> AutomorphismGroup:
                 generators.append(w)
         transversals.append(level)
         order *= len(level)
-    if order > order_cap:
-        raise ResourceLimitError(
-            f"automorphism group order {order} exceeds the cap {order_cap}",
-            limit=order_cap)
     return AutomorphismGroup(n, order, tuple(generators), transversals)
 
 
-@lru_cache(maxsize=4096)
-def _automorphisms_default(g: Graph) -> AutomorphismGroup:
-    return _compute_automorphisms(g, ORDER_CAP)
-
-
 def automorphisms(g: Graph, order_cap: int = ORDER_CAP) -> AutomorphismGroup:
-    if order_cap == ORDER_CAP:
-        return _automorphisms_default(g)
-    return _compute_automorphisms(g, order_cap)
+    group = _automorphism_group(g)
+    if group.order > order_cap:
+        raise ResourceLimitError(
+            f"automorphism group order {group.order} exceeds the cap "
+            f"{order_cap}", limit=order_cap)
+    return group
 
 
 @dataclass(frozen=True)
@@ -192,7 +188,7 @@ class OrbitPartition:
 
 @lru_cache(maxsize=4096)
 def orbits(g: Graph) -> OrbitPartition:
-    aut = automorphisms(g)
+    aut = _automorphism_group(g)
     n = g.n
     orbit_of = [-1] * n
     orbit_list = []

@@ -94,10 +94,26 @@ class TestRepr:
         assert doc["is_expensive_instance"] is True
 
     def test_node_budget_flag(self, capsys):
-        code, out, err = run(capsys, "repr", "--pattern", "complete:3",
-                             "--host", "complete:9", "--node-budget", "5")
-        assert code == 2
-        assert "error:" in err
+        c20 = "g6:" + emit_graph6(circulant(20, (1, 3)))
+        for argv in (["repr", "--pattern", "complete:3",
+                      "--host", "complete:9"],
+                     ["check", "cor1.2", "--pattern", "path:3",
+                      "--host", c20],
+                     ["check", "utv2.1", "--pattern", "path:3",
+                      "--host", c20],
+                     ["check", "thm2.2", "--pattern", "path:3",
+                      "--host", c20]):
+            code, out, err = run(capsys, *argv, "--node-budget", "5")
+            assert code == 2, argv
+            assert "error:" in err and "node budget" in err, argv
+
+    def test_orbits_ignore_the_order_cap(self, capsys):
+        # |Aut(K13)| = 13! exceeds ORDER_CAP; orbits need only generators
+        code, doc = run_json(capsys, "repr", "--pattern", "complete:3",
+                             "--host", "complete:13")
+        assert code == 0
+        assert doc["vertex_representativity"] == 11
+        assert doc["symmetric_representativity"] == 13
 
     def test_node_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMCOVER_NODE_BUDGET", "5")

@@ -11,6 +11,7 @@ from oracles import brute_footprints
 from symcover.errors import PreconditionError, ResourceLimitError
 from symcover.graphs import Graph, generate
 from symcover.copies import (
+    FOOTPRINT_CAP,
     CopyFamily,
     contains_copy,
     enumerate_footprints,
@@ -84,6 +85,13 @@ class TestLimitsAndErrors:
         with pytest.raises(ResourceLimitError):
             enumerate_footprints(generate("complete:3"),
                                  generate("complete:8"), cap=10)
+
+    def test_cached_cap_is_part_of_the_key(self):
+        pattern, host = generate("complete:3"), generate("complete:8")
+        family = footprints_of(pattern, host)
+        assert footprints_of(pattern, host, cap=FOOTPRINT_CAP) is family
+        with pytest.raises(ResourceLimitError):
+            footprints_of(pattern, host, cap=10)
 
     def test_family_validates_footprint_sizes(self):
         with pytest.raises(ValueError):

@@ -14,8 +14,9 @@ from oracles import (
     brute_min_invariant_cover,
     brute_orbits,
 )
-from symcover.copies import CopyFamily, footprints_of
+from symcover.copies import FOOTPRINT_CAP, CopyFamily, footprints_of
 from symcover.covers import (
+    NODE_BUDGET,
     CoverSolution,
     extremality_report,
     min_hitting_set,
@@ -130,6 +131,14 @@ class TestExtremalityReport:
         assert report.ratio is None
         assert report.is_extremal
         assert not report.is_expensive_instance
+
+    def test_memo_keys_on_values_not_call_form(self):
+        pattern, host = generate("complete:3"), generate("complete:9")
+        report = extremality_report(pattern, host)
+        assert report is extremality_report(pattern, host, FOOTPRINT_CAP,
+                                            NODE_BUDGET)
+        with pytest.raises(ResourceLimitError):
+            extremality_report(pattern, host, node_budget=5)
 
     def test_doc_shape(self, k5):
         doc = extremality_report(generate("tailed-star:3"), k5).to_doc()

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from conftest import prism
-from symcover.errors import PreconditionError, ResourceLimitError
+import symcover.search
+from symcover.covers import CoverSolution
+from symcover.errors import (PreconditionError, ResourceLimitError,
+                             VerificationError)
 from symcover.graphs import Graph, canonical_form, generate, is_connected, is_regular
 from symcover.search import (
     classify_vt_extremal,
@@ -122,6 +125,14 @@ class TestVtScan:
     def test_tail_below_three_rejected(self):
         with pytest.raises(PreconditionError):
             classify_vt_extremal(2, 6)
+
+    def test_reverification_mismatch_raises(self, monkeypatch):
+        def disagreeing(pattern, host):
+            return CoverSolution(value=2, witness=(0, 1), nodes_explored=0)
+        monkeypatch.setattr(symcover.search, "vertex_representativity",
+                            disagreeing)
+        with pytest.raises(VerificationError, match="re-solved"):
+            classify_vt_extremal(3, 6)
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
