@@ -18,7 +18,7 @@ from .covers import (CoverSolution, NODE_BUDGET, extremality_report,
                      symmetric_vertex_representativity,
                      vertex_representativity)
 from .errors import (NotAHittingSetError, PreconditionError,
-                     WeightConstructionError)
+                     VerificationError, WeightConstructionError)
 from .graphs import Graph, bits_of, induced_subgraph, is_connected, \
     has_pendant_vertex
 from .report import rat
@@ -657,5 +657,7 @@ def build_pair_weight(host: Graph, v: int, w: int, d: int) -> WeightFunction:
     for u in private_w[:half_slots]:
         weights[u] = Fraction(1, 2)
     fn = WeightFunction(host, weights)
-    assert fn.total == d + 1
+    if fn.total != d + 1:
+        raise VerificationError(
+            f"pair weight totals {fn.total}, expected {d + 1}")
     return fn

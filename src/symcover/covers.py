@@ -13,9 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .copies import CopyFamily, footprints_of, FOOTPRINT_CAP
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, VerificationError
 from .graphs import Graph, bits_of
-from .symmetry import orbits
+from .symmetry import OrbitPartition, orbits
 
 __all__ = [
     "CoverSolution",
@@ -158,7 +158,10 @@ class _CoverSearch:
                 chosen |= 1 << u
                 cost += self.costs[u]
                 live = rest
-        assert not live and cost == opt
+        if live or cost != opt:
+            raise VerificationError(
+                f"lex-min witness pass reached cost {cost} with "
+                f"{len(live)} set(s) unhit, against the optimum {opt}")
         return chosen
 
 
@@ -208,7 +211,13 @@ def symmetric_vertex_representativity(
     if not family.footprints:
         return CoverSolution(value=0, witness=(), nodes_explored=0,
                              orbit_ids=())
-    part = orbits(host)
+    return min_orbit_cover(family, orbits(host), node_budget)
+
+
+def min_orbit_cover(family: CopyFamily, part: OrbitPartition,
+                    node_budget: int = NODE_BUDGET) -> CoverSolution:
+    """Least total size of a union of the given orbits meeting every
+    footprint of the family."""
     orbit_sets = set()
     for f in family.footprints:
         ids = 0
@@ -270,7 +279,7 @@ def _extremality_cached(pattern: Graph, host: Graph, cap: int,
                                                   node_budget)
     m = pattern.n
     if not (0 <= plain.value <= invariant.value <= m * plain.value):
-        raise AssertionError(
+        raise VerificationError(
             f"solver inconsistency: plain={plain.value} "
             f"invariant={invariant.value} pattern_order={m}")
     ratio = (Fraction(invariant.value, plain.value)

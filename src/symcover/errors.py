@@ -70,4 +70,5 @@ class ResourceLimitError(SymcoverError):
 
 
 class VerificationError(SymcoverError):
-    """A result re-checked from its serialized form came out differently."""
+    """A result re-checked from its serialized form came out differently,
+    or an internal consistency check failed."""

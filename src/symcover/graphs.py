@@ -415,66 +415,84 @@ def basic_predicates(g: Graph) -> dict:
 
 # -- canonical labeling --------------------------------------------------------
 
-def _are_twins(rows, u: int, v: int) -> bool:
-    m = ~((1 << u) | (1 << v))
-    return rows[u] & m == rows[v] & m
+def column_bits(row: int, j: int) -> int:
+    """Column of the vertex at position j: its adjacency to positions
+    0..j-1, position 0 in the highest bit."""
+    c = 0
+    for i in range(j):
+        c = c << 1 | (row >> i & 1)
+    return c
 
 
-@lru_cache(maxsize=1 << 16)
-def _canonical_order(g: Graph) -> tuple[int, ...]:
+def _canonical_order(g: Graph,
+                     first_only: bool = False) -> tuple[int, ...] | None:
     """Vertex ordering whose column-major upper-triangle bit string is
     lexicographically minimal over all orderings.
 
-    Branch and bound: candidates at each position are sorted by their column
-    bits, interchangeable twins are collapsed, and any partial ordering whose
-    column prefix exceeds the best known one is cut.  Exact for the sizes the
-    enumeration modules use (n up to about 12).
+    Branch and bound with the identity ordering as incumbent.  The column of
+    a vertex is its adjacency to the placed prefix, first placed vertex
+    highest.  Only unplaced vertices of least column can continue a minimal
+    ordering, and interchangeable twins among them are tried once.  Every
+    visited prefix matches the incumbent's columns: a larger column is cut,
+    and a smaller one becomes the incumbent's, with the columns after it
+    reset to a bound no column reaches.  With ``first_only`` the search
+    instead returns None at the first smaller column, and the identity when
+    there is none.  Exact for the sizes the enumeration modules use (n up
+    to about 12).
     """
     n = g.n
-    if n == 0:
-        return ()
     rows = g.rows
-    best_cols: list[int] | None = None
-    best_order: tuple[int, ...] | None = None
-    # col[u] = bits of u's adjacency to the placed prefix, kept incrementally
+    best = [column_bits(rows[j], j) for j in range(n)]
+    best_order = tuple(range(n))
     col = [0] * n
+    placed: list[int] = []
 
-    def dfs(placed: list[int], placed_mask: int, cols: list[int]):
-        nonlocal best_cols, best_order
-        j = len(placed)
-        if j == n:
-            if best_cols is None or cols < best_cols:
-                best_cols = cols[:]
+    def dfs(unplaced: list[int]) -> bool:
+        nonlocal best_order
+        j = n - len(unplaced)
+        if not unplaced:
+            if best_order is None:
                 best_order = tuple(placed)
-            return
-        cand = sorted((col[u], u) for u in range(n)
-                      if not placed_mask >> u & 1)
-        filtered: list[tuple[int, int]] = []
-        for c, u in cand:
-            if any(c == c2 and _are_twins(rows, u, u2) for c2, u2 in filtered):
+            return False
+        c = min(map(col.__getitem__, unplaced))
+        if c > best[j]:
+            return False
+        if c < best[j]:
+            if first_only:
+                return True
+            best[j:] = [c] + [1 << n] * (n - j - 1)
+            best_order = None
+        tried: list[int] = []
+        for i, u in enumerate(unplaced):
+            # twins, alike apart from each other, lead to equal subtrees
+            if col[u] != c or any(rows[u] & ~(1 << t) == rows[t] & ~(1 << u)
+                                  for t in tried):
                 continue
-            filtered.append((c, u))
-        for c, u in filtered:
-            cols.append(c)
-            if best_cols is None or cols <= best_cols[: j + 1]:
-                placed.append(u)
-                mask = placed_mask | 1 << u
-                row_u = rows[u]
-                for w in range(n):
-                    if not mask >> w & 1:
-                        col[w] = col[w] << 1 | (row_u >> w & 1)
-                dfs(placed, mask, cols)
-                for w in range(n):
-                    if not mask >> w & 1:
-                        col[w] >>= 1
-                placed.pop()
-            cols.pop()
+            tried.append(u)
+            placed.append(u)
+            rest = unplaced[:i] + unplaced[i + 1:]
+            row_u = rows[u]
+            for w in rest:
+                col[w] = col[w] << 1 | (row_u >> w & 1)
+            stop = dfs(rest)
+            for w in rest:
+                col[w] >>= 1
+            placed.pop()
+            if stop:
+                return True
+        return False
 
-    dfs([], 0, [])
-    assert best_order is not None
-    return best_order
+    return None if dfs(list(range(n))) else best_order
 
 
+def is_lex_min_labelled(g: Graph) -> bool:
+    """Whether g is its own canonical representative.  Uncached and stopped
+    at the first better prefix, so orderly generation can test every
+    labelled child without keeping it."""
+    return _canonical_order(g, first_only=True) is not None
+
+
+@lru_cache(maxsize=1 << 16)
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class."""
     order = _canonical_order(g)

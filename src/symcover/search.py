@@ -1,7 +1,12 @@
 """Exhaustive scans over small graph classes.
 
-Generation is isomorph-free at desk scale: each emitted graph is a
-canonical representative, deduplicated by canonical form and listed in
+Graph classes are enumerated by orderly generation (Read, 1978): a graph
+is kept only in its canonical labelling, the one whose column-major
+adjacency bit string is lexicographically least.  Deleting the last vertex
+of such a graph leaves a graph in the same form, so extending every kept
+graph on m-1 vertices by every possible last column, and keeping the
+children already in that form, reaches every class exactly once; no
+isomorphism test between candidates is needed.  Classes are listed in
 graph6 order, so reports are byte-identical across runs.  Scan results are
 line-oriented records (canonical graph6 plus verdict) with a summary
 document on top; anything appended to a counterexample or classification
@@ -12,16 +17,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .checks import neighborhood_profile
-from .copies import contains_copy, footprints_of
-from .covers import (extremality_report, vertex_representativity,
-                     symmetric_vertex_representativity)
+from .copies import (enumerate_footprints, footprints_of,
+                     # unused: the tracer in bench/spans.py wraps this name
+                     contains_copy)
+from .covers import (extremality_report, min_hitting_set, min_orbit_cover,
+                     # unused: the tracer in bench/spans.py wraps these names
+                     symmetric_vertex_representativity,
+                     vertex_representativity)
 from .errors import PreconditionError, ResourceLimitError, VerificationError
-from .graphs import (Graph, bits_of, canonical_graph, emit_graph6, generate,
-                     is_connected, parse_graph6)
-from .symmetry import is_vertex_transitive
+from .graphs import (Graph, bits_of, canonical_graph, column_bits,
+                     emit_graph6, generate, is_connected, is_lex_min_labelled,
+                     parse_graph6)
+from .symmetry import is_vertex_transitive, uncached_orbits
 
 __all__ = [
     "UNCONSTRAINED_CAP",
@@ -97,29 +106,49 @@ def enum_graphs(n: int, connected_only: bool = False,
     return pool
 
 
+def _by_graph6(graphs) -> tuple[Graph, ...]:
+    return tuple(sorted(graphs, key=emit_graph6))
+
+
+def _extend(parents, lo: int, hi: int) -> list[Graph]:
+    """One orderly-generation step: extend each lex-min labelled parent by
+    every last column (its adjacency to the parent's vertices, vertex 0 in
+    the highest bit) and keep the children that are still lex-min labelled
+    and have every degree in lo..hi (parents' degrees lie in lo-1..hi).
+
+    A lex-min labelling picks a least column at every position, so the new
+    column, less its last bit, is at least the parent's last column; the
+    columns are tried downward from the largest until they fall below that.
+    """
+    out = []
+    for parent in parents:
+        m = parent.n
+        floor = column_bits(parent.rows[-1], m - 1) << 1 if m else 0
+        forced = room = 0
+        for u, row in enumerate(parent.rows):
+            if row.bit_count() < lo:
+                forced |= 1 << (m - 1 - u)
+            elif row.bit_count() < hi:
+                room |= 1 << (m - 1 - u)
+        sub = room
+        while forced | sub >= floor:
+            col = forced | sub
+            if lo <= col.bit_count() <= hi:
+                child = Graph(m + 1, parent.edges() + tuple(
+                    (m - 1 - b, m) for b in bits_of(col)))
+                if is_lex_min_labelled(child):
+                    out.append(child)
+            if not sub:
+                break
+            sub = (sub - 1) & room
+    return out
+
+
 @lru_cache(maxsize=None)
 def _all_graphs(n: int) -> tuple[Graph, ...]:
     if n == 0:
         return (Graph(0, ()),)
-    buckets: dict[tuple, list[Graph]] = {}
-    for base in _all_graphs(n - 1):
-        base_edges = base.edges()
-        for mask in range(1 << (n - 1)):
-            extra = [(u, n - 1) for u in range(n - 1) if mask >> u & 1]
-            g = Graph(n, base_edges + tuple(extra))
-            bucket = buckets.setdefault(_iso_fingerprint(g), [])
-            if not any(contains_copy(g, rep) for rep in bucket):
-                bucket.append(g)
-    return _canonical_reps(buckets)
-
-
-def _canonical_reps(buckets: dict[tuple, list[Graph]]) -> tuple[Graph, ...]:
-    seen: dict[str, Graph] = {}
-    for bucket in buckets.values():
-        for rep in bucket:
-            h = canonical_graph(rep)
-            seen.setdefault(emit_graph6(h), h)
-    return tuple(seen[key] for key in sorted(seen))
+    return _by_graph6(_extend(_all_graphs(n - 1), 0, n - 1))
 
 
 def _complement(g: Graph) -> Graph:
@@ -134,88 +163,14 @@ def _regular_graphs(n: int, k: int) -> tuple[Graph, ...]:
         return (Graph(0, ()),) if k == 0 else ()
     if k >= n or n * k % 2:
         return ()
-    if k == 0:
-        return (Graph(n, ()),)
     if 2 * k > n - 1:
-        seen = {}
-        for g in _regular_graphs(n, n - 1 - k):
-            h = canonical_graph(_complement(g))
-            seen.setdefault(emit_graph6(h), h)
-        return tuple(seen[key] for key in sorted(seen))
-    return _regular_direct(n, k)
-
-
-def _iso_fingerprint(g: Graph) -> tuple:
-    """Cheap isomorphism-invariant key: sorted vertex triangle counts plus
-    sorted common-neighbor counts over edges and over non-edges."""
-    n = g.n
-    rows = g.rows
-    triangles = []
-    for v in range(n):
-        nb = rows[v]
-        triangles.append(sum((rows[u] & nb).bit_count()
-                             for u in bits_of(nb)) // 2)
-    on_edges = []
-    on_gaps = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            c = (rows[u] & rows[v]).bit_count()
-            (on_edges if rows[u] >> v & 1 else on_gaps).append(c)
-    return (tuple(sorted(triangles)), tuple(sorted(on_edges)),
-            tuple(sorted(on_gaps)))
-
-
-def _regular_direct(n: int, k: int) -> tuple[Graph, ...]:
-    """Degree-constrained backtracking.
-
-    Vertices are filled in id order, so every edge goes from the current
-    vertex to a higher id; previously untouched neighbors must be taken as
-    a consecutive run just past the highest id seen, which breaks the
-    relabeling symmetry without losing any isomorphism class (every graph
-    admits a discovery-order labeling of this shape, components in
-    sequence).  Leaves are grouped by a cheap invariant and deduplicated by
-    direct isomorphism tests, so only one representative per class pays for
-    canonical labeling.
-    """
-    rem = [k] * n
-    edges: list[tuple[int, int]] = []
-    buckets: dict[tuple, list[Graph]] = {}
-
-    def fill(v: int, max_seen: int) -> None:
-        while v < n and not rem[v]:
-            v += 1
-        if v == n:
-            g = Graph(n, edges)
-            bucket = buckets.setdefault(_iso_fingerprint(g), [])
-            # equal orders and edge counts make any embedding a bijection
-            if not any(contains_copy(g, rep) for rep in bucket):
-                bucket.append(g)
-            return
-        # u > v can gain one edge from each center v..u-1 and then at most
-        # n-1-u more in its own step, n-1-v future edges in all
-        for u in range(v + 1, n):
-            if rem[u] > n - 1 - v:
-                return
-        max_seen = max(max_seen, v)
-        need = rem[v]
-        disc = [u for u in range(v + 1, max_seen + 1) if rem[u]]
-        room = n - 1 - max_seen
-        for j in range(max(0, need - room), min(need, len(disc)) + 1):
-            fresh = list(range(max_seen + 1, max_seen + 1 + (need - j)))
-            for subset in combinations(disc, j):
-                chosen = list(subset) + fresh
-                for u in chosen:
-                    rem[u] -= 1
-                    edges.append((v, u))
-                rem[v] = 0
-                fill(v + 1, max_seen + len(fresh))
-                rem[v] = need
-                for u in chosen:
-                    rem[u] += 1
-                    edges.pop()
-
-    fill(0, 0)
-    return _canonical_reps(buckets)
+        return _by_graph6(canonical_graph(_complement(g))
+                          for g in _regular_graphs(n, n - 1 - k))
+    # a vertex of the m-vertex level must still reach k from n - m more
+    level = [Graph(0, ())]
+    for m in range(1, n + 1):
+        level = _extend(level, k - (n - m), k)
+    return _by_graph6(level)
 
 
 def _params(**kwargs) -> tuple[tuple[str, str], ...]:
@@ -227,11 +182,13 @@ def _verdict(plain, invariant) -> str:
 
 
 def _reverify(pattern: Graph, g6: str, verdict: str) -> None:
-    """Re-solve both covers, past the report memo, on the host parsed back
-    from its record; raise if the verdict changes."""
+    """Re-derive both covers from the host parsed back from its record,
+    past every cache: fresh footprints, a fresh orbit partition and fresh
+    cover searches.  Raise if the verdict changes."""
     fresh = parse_graph6(g6)
-    again = _verdict(vertex_representativity(pattern, fresh),
-                     symmetric_vertex_representativity(pattern, fresh))
+    family = enumerate_footprints(pattern, fresh)
+    again = _verdict(min_hitting_set(family, fresh.n),
+                     min_orbit_cover(family, uncached_orbits(fresh)))
     if again != verdict:
         raise VerificationError(f"{g6}: {verdict}, re-solved {again}")
 

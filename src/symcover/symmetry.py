@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, VerificationError
 from .graphs import Graph, bits_of
 
 __all__ = [
@@ -119,7 +119,10 @@ class AutomorphismGroup:
                         rec(level + 1, tuple(acc[w[x]] for x in range(self.n)))
 
             rec(0, identity)
-            assert len(out) == self.order
+            if len(out) != self.order:
+                raise VerificationError(
+                    f"materialized {len(out)} elements of a group of order "
+                    f"{self.order}")
             self._elements = tuple(out)
         return self._elements
 
@@ -188,8 +191,17 @@ class OrbitPartition:
 
 @lru_cache(maxsize=4096)
 def orbits(g: Graph) -> OrbitPartition:
-    aut = _automorphism_group(g)
-    n = g.n
+    return _orbit_partition(_automorphism_group(g))
+
+
+def uncached_orbits(g: Graph) -> OrbitPartition:
+    """The orbits recomputed from scratch, past the group and orbit caches,
+    so a re-verification does not read back the result it checks."""
+    return _orbit_partition(_automorphism_group.__wrapped__(g))
+
+
+def _orbit_partition(aut: AutomorphismGroup) -> OrbitPartition:
+    n = aut.n
     orbit_of = [-1] * n
     orbit_list = []
     for v in range(n):

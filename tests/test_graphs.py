@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cube
 from oracles import brute_canonical_edges
 from symcover.errors import FamilySpecError, GraphParseError
 from symcover.graphs import (
@@ -201,6 +202,14 @@ class TestCanonical:
         for _ in range(40):
             g = random_graph(rng, 6)
             assert canonical_graph(g).edges() == brute_canonical_edges(g)
+        # ties between many equal columns only show on symmetric hosts
+        k44 = Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])
+        hosts = [cube(), generate("cycle:8"), generate("cocktail:8"), k44,
+                 generate("cycle:7")]
+        rng = random.Random(17)
+        hosts += [random_graph(rng, 7) for _ in range(10)]
+        for g in hosts:
+            assert canonical_graph(g).edges() == brute_canonical_edges(g), g
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from conftest import prism
+import symcover.copies
 import symcover.search
+import symcover.symmetry
 from symcover.covers import CoverSolution
 from symcover.errors import (PreconditionError, ResourceLimitError,
                              VerificationError)
-from symcover.graphs import Graph, canonical_form, generate, is_connected, is_regular
+from symcover.graphs import (Graph, canonical_form, emit_graph6, generate,
+                             is_regular)
 from symcover.search import (
     classify_vt_extremal,
     enum_graphs,
@@ -27,26 +30,28 @@ REGULAR_COUNTS = {
     (5, 4): 1, (6, 4): 1, (7, 4): 2, (8, 4): 6, (9, 4): 16,
     (6, 5): 1, (8, 5): 3,
     (8, 6): 1, (9, 6): 4,
-    (5, 2): 1, (6, 2): 2, (7, 2): 2, (8, 2): 3,
+    (5, 2): 1, (6, 2): 2, (7, 2): 2, (8, 2): 3, (10, 2): 5,
+    (10, 4): 60,
 }
 
 
 class TestEnumeration:
     def test_counts(self):
         for n, want in ALL_COUNTS.items():
-            if n <= 6:
-                assert len(enum_graphs(n)) == want
+            assert len(enum_graphs(n)) == want, n
 
     def test_connected_counts(self):
         for n, want in CONNECTED_COUNTS.items():
-            if n <= 6:
-                assert len(enum_graphs(n, connected_only=True)) == want
+            assert len(enum_graphs(n, connected_only=True)) == want, n
 
     def test_results_are_canonical_and_distinct(self):
-        graphs = enum_graphs(5)
-        forms = [canonical_form(g) for g in graphs]
-        assert forms == sorted(forms)
-        assert len(set(forms)) == len(graphs)
+        inputs = [(n, {}) for n in range(7)] + [(10, {"regular_k": 3})]
+        for n, kwargs in inputs:
+            graphs = enum_graphs(n, **kwargs)
+            forms = [canonical_form(g) for g in graphs]
+            assert [emit_graph6(g) for g in graphs] == forms, n
+            assert forms == sorted(forms)
+            assert len(set(forms)) == len(graphs)
 
     def test_regular_counts(self):
         for (n, k), want in REGULAR_COUNTS.items():
@@ -127,12 +132,23 @@ class TestVtScan:
             classify_vt_extremal(2, 6)
 
     def test_reverification_mismatch_raises(self, monkeypatch):
-        def disagreeing(pattern, host):
+        def disagreeing(family, n=None):
             return CoverSolution(value=2, witness=(0, 1), nodes_explored=0)
-        monkeypatch.setattr(symcover.search, "vertex_representativity",
-                            disagreeing)
+        monkeypatch.setattr(symcover.search, "min_hitting_set", disagreeing)
         with pytest.raises(VerificationError, match="re-solved"):
             classify_vt_extremal(3, 6)
+
+    def test_reverification_reads_no_cache(self):
+        pattern = generate("tailed-star:3")
+        report = classify_vt_extremal(3, 6)
+        (g6,) = report.classification
+        caches = (symcover.copies._footprints_cached, symcover.symmetry.orbits,
+                  symcover.symmetry._automorphism_group)
+        before = [cache.cache_info()[:2] for cache in caches]
+        symcover.search._reverify(pattern, g6, "plain=1 invariant=5")
+        assert [cache.cache_info()[:2] for cache in caches] == before
+        with pytest.raises(VerificationError, match="re-solved"):
+            symcover.search._reverify(pattern, g6, "plain=1 invariant=4")
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
