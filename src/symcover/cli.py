@@ -22,7 +22,8 @@ from .checks import (build_pair_weight, check_extremal_boundary,
                      weight_orbit, weighted_symmetrize)
 from .copies import FOOTPRINT_CAP, footprints_of
 from .covers import NODE_BUDGET, extremality_report, vertex_representativity
-from .errors import GraphParseError, PreconditionError, SymcoverError
+from .errors import (GraphParseError, PreconditionError,
+                     ResourceLimitError, SymcoverError)
 from .graphs import (Graph, emit_graph6, generate, is_connected,
                      parse_edge_list, parse_graph6)
 from .report import rat, render_human
@@ -396,7 +397,11 @@ def main(argv=None) -> int:
                                           FOOTPRINT_CAP)
         doc, code, record_lines = args.func(args)
     except SymcoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if (isinstance(exc, ResourceLimitError)
+                and exc.best_lower is not None and exc.best_upper is not None):
+            message += f"; optimum in [{exc.best_lower}, {exc.best_upper}]"
+        print(f"error: {message}", file=sys.stderr)
         return 2
     if getattr(args, "json", False):
         print(json.dumps(doc, indent=2))

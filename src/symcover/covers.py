@@ -3,8 +3,12 @@
 ``vertex_representativity`` is the least number of vertices meeting every
 copy footprint of the pattern; ``symmetric_vertex_representativity`` is the
 least size of such a set that is additionally a union of automorphism
-orbits.  Both are solved exactly by branch and bound with certified
-optimality; ties are broken toward the lexicographically smallest witness.
+orbits.  Both are solved exactly by one branch and bound, ``_CoverSearch``,
+with certified optimality; ties are broken toward the lexicographically
+smallest witness.  The search indexes the sets by bit, so a node is a mask
+of live set indices plus a mask of banned units.  The witness comes from a
+scan over units whose sub-searches stop at their first cover that fits the
+optimum.
 """
 from __future__ import annotations
 
@@ -46,128 +50,195 @@ class CoverSolution:
 
 
 class _CoverSearch:
-    """Branch and bound for minimum-cost covers.
+    """Branch and bound for minimum-cost covers over bit-indexed sets.
 
     Units are integers with positive costs; every set in the family must
-    contain a chosen unit.  Branching picks an uncovered set with the
-    fewest available units and tries each unit in ascending order, banning
-    already-tried units in later branches so the search space partitions.
-    The lower bound greedily packs disjoint uncovered sets; the incumbent
-    starts from greedy maximum coverage.
+    contain a chosen unit.  The constructor dedups the sets, sorts them by
+    (size, mask) and drops every set that contains another, which leaves
+    the hitting sets unchanged.  Set i is then bit i of an index mask:
+    ``inc[u]`` is the mask of the sets that contain unit u, and ``meet[i]``
+    the mask of the sets that meet set i (built when first needed).
+
+    A search node is a mask of live (still unhit) set indices plus a mask
+    of banned units.  Choosing u leaves ``live & ~inc[u]``.  Branching
+    takes the live set with the fewest available units (the lowest index
+    among ties) and tries each of them in ascending order, banning the
+    units already tried in later branches so the search space partitions;
+    only the sets that newly banned units touch are rechecked for
+    emptiness.  The lower bound packs pairwise disjoint live sets, lowest
+    index first, each pick dropping the sets in ``meet[i]``; the optimum
+    search starts from the greedy maximum-coverage incumbent.
+
+    The lex-min witness pass scans units in ascending order and keeps each
+    one that still allows an optimal completion from larger units.  Each
+    of its sub-searches skips the greedy, starts its incumbent at
+    ``limit + 1`` and returns at its first leaf of cost at most ``limit``:
+    a completion costing less would undercut the optimum.  Both phases
+    charge one node budget, and a stop reports the bounds known so far.
     """
 
     def __init__(self, set_masks, costs: dict[int, int], budget: int):
-        self.sets = list(set_masks)
+        sets = sorted(set(set_masks), key=lambda s: (s.bit_count(), s))
+        if sets and sets[0].bit_count() < sets[-1].bit_count():
+            sets = _drop_supersets(sets)
+        self.sets = sets
         self.costs = costs
         self.budget = budget
         self.nodes = 0
+        self.lower = self.upper = None  # reported on a budget stop
+        self.all = (1 << len(sets)) - 1
+        units = 0
+        for s in sets:
+            units |= s
+        self.units = units
+        self.inc = [0] * units.bit_length()
+        for i, s in enumerate(sets):
+            for u in bits_of(s):
+                self.inc[u] |= 1 << i
+        self.meet = [None] * len(sets)
+        unit_costs = {costs[u] for u in bits_of(units)}
+        # the cost all units share, which makes every packed set cost it
+        self.flat = unit_costs.pop() if len(unit_costs) == 1 else None
 
     def _charge(self):
         self.nodes += 1
         if self.nodes > self.budget:
             raise ResourceLimitError(
                 f"cover search exceeded the node budget {self.budget}",
-                limit=self.budget)
+                limit=self.budget, best_lower=self.lower,
+                best_upper=self.upper)
 
-    def _greedy(self, live):
-        chosen = 0
-        cost = 0
-        live = list(live)
+    def _keep_a_unit(self, indices: int, banned: int) -> bool:
+        """Whether every set in the index mask has a unit not banned."""
+        for i in bits_of(indices):
+            if not self.sets[i] & ~banned:
+                return False
+        return True
+
+    def _greedy(self):
+        inc, costs = self.inc, self.costs
+        live = self.all
+        chosen = cost = 0
         while live:
-            units = 0
-            for s in live:
-                units |= s
-            best_u = -1
-            best_key = None
-            for u in bits_of(units):
-                hits = sum(1 for s in live if s >> u & 1)
-                key = (Fraction(hits, self.costs[u]), -u)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_u = u
+            best_u, best_hits, best_cost = -1, 0, 1
+            for u in bits_of(self.units & ~chosen):
+                hits = (live & inc[u]).bit_count()
+                if hits * best_cost > best_hits * costs[u]:
+                    best_u, best_hits, best_cost = u, hits, costs[u]
             chosen |= 1 << best_u
-            cost += self.costs[best_u]
-            live = [s for s in live if not s >> best_u & 1]
-        return cost, chosen
+            cost += best_cost
+            live &= ~inc[best_u]
+        return cost
 
-    def _pack_bound(self, live):
-        taken = 0
+    def _pack_bound(self, live, banned, stop=None):
+        """Cost lower bound from pairwise disjoint live sets, each at the
+        cost of its cheapest available unit; returns early once the bound
+        reaches ``stop``."""
         bound = 0
-        for s in sorted(live, key=lambda s: (s.bit_count(), s)):
-            if s & taken:
-                continue
-            taken |= s
-            bound += min(self.costs[u] for u in bits_of(s))
+        while live:
+            i = (live & -live).bit_length() - 1
+            if self.flat is not None:
+                bound += self.flat
+            else:
+                bound += min(self.costs[u]
+                             for u in bits_of(self.sets[i] & ~banned))
+            if stop is not None and bound >= stop:
+                break
+            meet = self.meet[i]
+            if meet is None:
+                meet = 0
+                for u in bits_of(self.sets[i]):
+                    meet |= self.inc[u]
+                self.meet[i] = meet
+            live &= ~meet
         return bound
 
-    def solve(self, sets=None, banned: int = 0, limit: int | None = None):
-        """Minimum cost and one optimal unit mask over the given sets using
-        only non-banned units; (None, None) when infeasible or provably not
-        better than ``limit``."""
-        live = [s & ~banned for s in (self.sets if sets is None else sets)]
-        if any(s == 0 for s in live):
-            return None, None
-        if not live:
-            return 0, 0
-        best_cost, best_mask = self._greedy(live)
-        if limit is not None and best_cost > limit:
-            best_cost, best_mask = limit + 1, None
+    def optimum(self) -> int | None:
+        """Least cost of a cover; None when some set is empty."""
+        if self.sets and self.sets[0] == 0:
+            return None
+        self.lower = self._pack_bound(self.all, 0)
+        self.upper = self._greedy()
+        return self._branch(self.all, 0, self.upper + 1, first=False)
 
-        def dfs(live, chosen, cost, banned):
-            nonlocal best_cost, best_mask
+    def _branch(self, live, banned, incumbent, first):
+        """Least cost below ``incumbent`` of a cover of the live sets by
+        units not banned, or None when there is none.  With ``first`` set,
+        return the first such cost found."""
+        sets, inc, costs = self.sets, self.inc, self.costs
+        best_cost, found = incumbent, False
+
+        def dfs(live, banned, cost):
+            nonlocal best_cost, found
             self._charge()
             if not live:
-                if cost < best_cost:
-                    best_cost = cost
-                    best_mask = chosen
-                return
-            if cost + self._pack_bound(live) >= best_cost:
-                return
-            branch = min(live, key=lambda s: (s.bit_count(), s))
-            tried = 0
-            for u in bits_of(branch):
-                nb = banned | tried
-                rest = [s & ~nb for s in live if not s >> u & 1]
-                if all(rest_s for rest_s in rest):
-                    dfs(rest, chosen | 1 << u, cost + self.costs[u], nb)
+                if cost >= best_cost:
+                    return False
+                best_cost, found = cost, True
+                if not first:
+                    self.upper = cost
+                return first
+            stop = best_cost - cost
+            if self._pack_bound(live, banned, stop) >= stop:
+                return False
+            b = min(bits_of(live),
+                    key=lambda i: (sets[i] & ~banned).bit_count())
+            options = sets[b] & ~banned
+            tried = tried_sets = 0
+            for u in bits_of(options):
+                rest = live & ~inc[u]
+                recheck = rest & tried_sets
+                if ((not recheck or self._keep_a_unit(recheck, banned | tried))
+                        and dfs(rest, banned | tried, cost + costs[u])):
+                    return True
                 tried |= 1 << u
-        dfs(live, 0, 0, banned)
-        if best_mask is None or (limit is not None and best_cost > limit):
-            return None, None
-        return best_cost, best_mask
+                tried_sets |= inc[u]
+            return False
+
+        dfs(live, banned, 0)
+        return best_cost if found else None
 
     def lex_min_witness(self, opt: int) -> int:
         """Lexicographically smallest unit set achieving cost ``opt``:
         scan units in ascending order and keep each one that still allows
         an optimal completion from strictly larger units."""
-        units = 0
-        for s in self.sets:
-            units |= s
-        chosen = 0
-        cost = 0
-        live = list(self.sets)
-        for u in bits_of(units):
+        self.lower = self.upper = opt
+        chosen = banned = banned_sets = cost = 0
+        live = self.all
+        for u in bits_of(self.units):
             if not live:
                 break
-            lower = (1 << (u + 1)) - 1  # u and everything below is decided
-            rest = [s for s in live if not s >> u & 1]
-            sub_cost, _ = self.solve(sets=rest, banned=lower & ~chosen,
-                                     limit=opt - cost - self.costs[u])
-            if sub_cost is not None and (
-                    cost + self.costs[u] + sub_cost == opt):
+            limit = opt - cost - self.costs[u]
+            rest = live & ~self.inc[u]
+            if (rest != live and limit >= 0
+                    and self._keep_a_unit(rest & banned_sets, banned)
+                    and self._branch(rest, banned | 1 << u, limit + 1,
+                                     first=True) is not None):
                 chosen |= 1 << u
                 cost += self.costs[u]
                 live = rest
+                continue
+            banned |= 1 << u
+            banned_sets |= self.inc[u]
         if live or cost != opt:
             raise VerificationError(
                 f"lex-min witness pass reached cost {cost} with "
-                f"{len(live)} set(s) unhit, against the optimum {opt}")
+                f"{live.bit_count()} set(s) unhit, against the optimum {opt}")
         return chosen
+
+
+def _drop_supersets(sets):
+    """The sets, sorted by size, less every one that contains another."""
+    kept = []
+    for s in sets:
+        if not any(t & s == t for t in kept):
+            kept.append(s)
+    return kept
 
 
 def _solve_cover(set_masks, costs, budget):
     search = _CoverSearch(set_masks, costs, budget)
-    opt, _ = search.solve()
+    opt = search.optimum()
     if opt is None:
         raise ValueError("infeasible cover: some set has no available unit")
     witness = search.lex_min_witness(opt) if opt else 0

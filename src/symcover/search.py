@@ -184,13 +184,30 @@ def _verdict(plain, invariant) -> str:
 def _reverify(pattern: Graph, g6: str, verdict: str) -> None:
     """Re-derive both covers from the host parsed back from its record,
     past every cache: fresh footprints, a fresh orbit partition and fresh
-    cover searches.  Raise if the verdict changes."""
+    cover searches.  Raise if the verdict changes, or if a witness misses
+    a fresh footprint, has a size other than its value, or (for the
+    invariant cover) is not a union of fresh orbits."""
     fresh = parse_graph6(g6)
     family = enumerate_footprints(pattern, fresh)
-    again = _verdict(min_hitting_set(family, fresh.n),
-                     min_orbit_cover(family, uncached_orbits(fresh)))
+    part = uncached_orbits(fresh)
+    plain = min_hitting_set(family, fresh.n)
+    invariant = min_orbit_cover(family, part)
+    again = _verdict(plain, invariant)
     if again != verdict:
         raise VerificationError(f"{g6}: {verdict}, re-solved {again}")
+    for name, sol in (("plain", plain), ("invariant", invariant)):
+        marked = set(sol.witness)
+        if len(marked) != sol.value or any(marked.isdisjoint(f)
+                                           for f in family.footprints):
+            raise VerificationError(
+                f"{g6}: the {name} witness {sol.witness} misses a "
+                f"footprint or differs in size from its value {sol.value}")
+    union = set(invariant.witness)
+    if any(0 < len(union.intersection(orbit)) < len(orbit)
+           for orbit in part.orbits):
+        raise VerificationError(
+            f"{g6}: the invariant witness {invariant.witness} is not a "
+            f"union of orbits")
 
 
 def find_dense_counterexample(n_max: int, k_range) -> SearchReport:

@@ -61,6 +61,24 @@ def brute_min_hitting(family, n: int) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("a family member must be empty")
 
 
+def brute_min_weighted_hitting(family, costs) -> tuple[int, tuple[int, ...]]:
+    """Least total cost of a set of units meeting every member of `family`,
+    where unit u costs `costs[u]`; among the cheapest sets, the sorted tuple
+    that is first in lex order."""
+    sets = [frozenset(f) for f in family]
+    units = sorted(costs)
+    best = None
+    for size in range(len(units) + 1):
+        for cand in combinations(units, size):
+            if all(not f.isdisjoint(cand) for f in sets):
+                key = (sum(costs[u] for u in cand), cand)
+                if best is None or key < best:
+                    best = key
+    if best is None:
+        raise AssertionError("a family member must be empty")
+    return best
+
+
 def brute_min_invariant_cover(footprints, orbits) -> tuple[int, tuple[int, ...]]:
     """Smallest union of whole orbits meeting every footprint.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -94,18 +95,24 @@ class TestRepr:
         assert doc["is_expensive_instance"] is True
 
     def test_node_budget_flag(self, capsys):
+        # the stop prints bounds around the plain cost: 7 for K3 in K9,
+        # 10 for path:3 in C(20;1,3)
         c20 = "g6:" + emit_graph6(circulant(20, (1, 3)))
-        for argv in (["repr", "--pattern", "complete:3",
-                      "--host", "complete:9"],
-                     ["check", "cor1.2", "--pattern", "path:3",
-                      "--host", c20],
-                     ["check", "utv2.1", "--pattern", "path:3",
-                      "--host", c20],
-                     ["check", "thm2.2", "--pattern", "path:3",
-                      "--host", c20]):
+        for argv, value in (
+                (["repr", "--pattern", "complete:3", "--host", "complete:9"],
+                 7),
+                (["check", "cor1.2", "--pattern", "path:3", "--host", c20],
+                 10),
+                (["check", "utv2.1", "--pattern", "path:3", "--host", c20],
+                 10),
+                (["check", "thm2.2", "--pattern", "path:3", "--host", c20],
+                 10)):
             code, out, err = run(capsys, *argv, "--node-budget", "5")
             assert code == 2, argv
             assert "error:" in err and "node budget" in err, argv
+            lo, hi = map(int, re.search(r"optimum in \[(\d+), (\d+)\]",
+                                        err).groups())
+            assert lo <= value <= hi, argv
 
     def test_orbits_ignore_the_order_cap(self, capsys):
         # |Aut(K13)| = 13! exceeds ORDER_CAP; orbits need only generators

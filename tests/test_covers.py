@@ -7,24 +7,26 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import petersen, random_connected_graph
+from conftest import circulant, petersen, random_connected_graph
 from oracles import (
     brute_footprints,
     brute_min_hitting,
     brute_min_invariant_cover,
+    brute_min_weighted_hitting,
     brute_orbits,
 )
 from symcover.copies import FOOTPRINT_CAP, CopyFamily, footprints_of
 from symcover.covers import (
     NODE_BUDGET,
     CoverSolution,
+    _solve_cover,
     extremality_report,
     min_hitting_set,
     symmetric_vertex_representativity,
     vertex_representativity,
 )
 from symcover.errors import ResourceLimitError
-from symcover.graphs import Graph, disjoint_union, generate
+from symcover.graphs import Graph, bits_of, disjoint_union, generate
 
 
 PATTERNS = [generate("complete:3"), generate("path:3"),
@@ -37,6 +39,20 @@ def random_family(rng: random.Random, n: int) -> CopyFamily:
     prints = {tuple(sorted(rng.sample(range(n), size))) for _ in range(count)}
     prints = {f for f in prints if len(f) == size}
     return CopyFamily(pattern_order=size, footprints=tuple(sorted(prints)))
+
+
+def mixed_family(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """5 to 40 sets of sizes 1 to 6 over units 0..n-1, so that some sets
+    contain others."""
+    return [tuple(sorted(rng.sample(range(n), rng.randrange(1, 7))))
+            for _ in range(rng.randrange(5, 41))]
+
+
+def solve_family(family, costs):
+    """(value, witness) of the cover search on raw unit sets."""
+    masks = [sum(1 << u for u in f) for f in family]
+    value, witness, _ = _solve_cover(masks, costs, NODE_BUDGET)
+    return value, tuple(bits_of(witness))
 
 
 class TestMinHittingSet:
@@ -54,6 +70,23 @@ class TestMinHittingSet:
             sol = min_hitting_set(family, n)
             assert sol.value == value
             assert sol.witness == witness
+
+    def test_matches_oracle_on_mixed_families(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randrange(10, 15)
+            family = mixed_family(rng, n)
+            assert solve_family(family, dict.fromkeys(range(n), 1)) == (
+                brute_min_hitting(family, n))
+
+    def test_matches_weighted_oracle_on_mixed_families(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            n = rng.randrange(10, 15)
+            family = mixed_family(rng, n)
+            costs = {u: rng.randrange(1, 5) for u in range(n)}
+            assert solve_family(family, costs) == (
+                brute_min_weighted_hitting(family, costs))
 
     def test_witness_is_lexicographically_first(self):
         family = CopyFamily(pattern_order=2,
@@ -84,6 +117,17 @@ class TestRepresentativity:
             assert sym.value == want_sym
             assert sym.witness == want_union
 
+    def test_matches_oracle_on_random_gnp_hosts(self):
+        rng = random.Random(47)
+        for _ in range(12):
+            n = rng.randrange(12, 15)
+            host = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < 0.3])
+            pattern = rng.choice(PATTERNS)
+            prints = footprints_of(pattern, host).footprints
+            sol = vertex_representativity(pattern, host)
+            assert (sol.value, sol.witness) == brute_min_hitting(prints, n)
+
     def test_witness_hits_every_footprint(self):
         host = petersen()
         pattern = generate("cycle:5")
@@ -102,9 +146,39 @@ class TestRepresentativity:
         assert sol.value == 10
 
     def test_budget_enforced(self):
-        with pytest.raises(ResourceLimitError):
-            vertex_representativity(generate("complete:3"),
-                                    generate("complete:9"), node_budget=5)
+        # a stop reports bounds around the plain costs, 7 and 10
+        for pattern, host, value in (
+                ("complete:3", generate("complete:9"), 7),
+                ("path:3", circulant(20, (1, 3)), 10)):
+            with pytest.raises(ResourceLimitError, match="node budget") as stop:
+                vertex_representativity(generate(pattern), host,
+                                        node_budget=5)
+            assert stop.value.best_lower <= value <= stop.value.best_upper
+
+    @pytest.mark.parametrize("solve", [
+        lambda budget: vertex_representativity(
+            generate("path:3"), circulant(20, (1, 3)), node_budget=budget),
+        lambda budget: vertex_representativity(
+            generate("cycle:5"), petersen(), node_budget=budget),
+        lambda budget: symmetric_vertex_representativity(
+            generate("path:3"), generate("union:cycle:8+path:5+path:7"),
+            node_budget=budget),
+        lambda budget: symmetric_vertex_representativity(
+            generate("path:4"), generate("union:cycle:8+path:7+path:9"),
+            node_budget=budget),
+    ], ids=["plain-circulant", "plain-petersen", "orbits-3-costs",
+            "orbits-3-costs-path4"])
+    def test_budget_edge(self, solve):
+        # one node fewer stops the search rather than returning a truncated
+        # witness, and the stop falls in the witness pass, which knows the
+        # optimum: so that pass is charged to the same budget
+        sol = solve(NODE_BUDGET)
+        budget = sol.nodes_explored
+        assert budget > 1
+        assert solve(budget) == sol
+        with pytest.raises(ResourceLimitError, match="node budget") as stop:
+            solve(budget - 1)
+        assert stop.value.best_lower == stop.value.best_upper == sol.value
 
 
 class TestExtremalityReport:

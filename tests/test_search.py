@@ -150,6 +150,32 @@ class TestVtScan:
         with pytest.raises(VerificationError, match="re-solved"):
             symcover.search._reverify(pattern, g6, "plain=1 invariant=4")
 
+    def test_reverification_checks_witnesses(self, monkeypatch):
+        # path:3 in C6: plain 2 (e.g. {0, 3}), one orbit of 6 vertices
+        pattern = generate("path:3")
+        g6 = emit_graph6(generate("cycle:6"))
+        symcover.search._reverify(pattern, g6, "plain=2 invariant=6")
+        solve_plain = symcover.search.min_hitting_set
+
+        def missing(family, n=None):
+            sol = solve_plain(family, n)
+            return CoverSolution(value=sol.value, witness=(0, 1),
+                                 nodes_explored=sol.nodes_explored)
+
+        def not_a_union(family, part):
+            # hits every footprint, but splits the orbit
+            return CoverSolution(value=5, witness=(0, 1, 2, 3, 4),
+                                 nodes_explored=0, orbit_ids=(0,))
+
+        with monkeypatch.context() as m:
+            m.setattr(symcover.search, "min_hitting_set", missing)
+            with pytest.raises(VerificationError, match="plain witness"):
+                symcover.search._reverify(pattern, g6, "plain=2 invariant=6")
+        with monkeypatch.context() as m:
+            m.setattr(symcover.search, "min_orbit_cover", not_a_union)
+            with pytest.raises(VerificationError, match="union of orbits"):
+                symcover.search._reverify(pattern, g6, "plain=2 invariant=5")
+
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             classify_vt_extremal(3, 11)
