@@ -101,15 +101,14 @@ def verify_orbit_sum_bound(pattern: Graph, host: Graph, marked,
         if not m & x_mask:
             raise NotAHittingSetError(fp)
     part = orbits(host)
-    inter = [(part.orbit_mask(oid) & x_mask).bit_count()
-             for oid in range(part.count)]
+    inter = [(om & x_mask).bit_count() for om in part.masks]
     sizes = [len(o) for o in part.orbits]
     rows = []
     for fp, m in zip(family.footprints, family.masks()):
         total = Fraction(0)
-        for oid in range(part.count):
-            in_f = (part.orbit_mask(oid) & m).bit_count()
-            if in_f and inter[oid]:
+        for oid in {part.orbit_of[v] for v in fp}:
+            if inter[oid]:
+                in_f = (part.masks[oid] & m).bit_count()
                 total += Fraction(in_f * inter[oid], sizes[oid])
         rows.append((fp, total))
     minimum = min((v for _, v in rows), default=None)

@@ -46,71 +46,43 @@ class CopyFamily:
         return tuple(out)
 
 
-def _match_order(pattern: Graph) -> list[int]:
-    """Pattern vertices ordered for the backtracking matcher: start at a
+def _match_order(g: Graph) -> list[int]:
+    """Vertices ordered for the backtracking matcher: start at a
     maximum-degree vertex, then always prefer vertices with the most
     already-ordered neighbors (degree, then id, as tie breaks)."""
-    n = pattern.n
-    remaining = set(range(n))
+    rows = g.rows
+    remaining = set(range(g.n))
     order: list[int] = []
+    placed = 0
     while remaining:
-        if order:
-            placed_mask = 0
-            for v in order:
-                placed_mask |= 1 << v
-            best = max(
-                remaining,
-                key=lambda v: (
-                    (pattern.rows[v] & placed_mask).bit_count(),
-                    pattern.degree(v),
-                    -v,
-                ),
-            )
-        else:
-            best = max(remaining, key=lambda v: (pattern.degree(v), -v))
+        best = max(remaining, key=lambda v: (
+            (rows[v] & placed).bit_count(), rows[v].bit_count(), -v))
         order.append(best)
         remaining.discard(best)
+        placed |= 1 << best
     return order
 
 
-def _run_matcher(pattern: Graph, host: Graph, *, first_only: bool,
-                 cap: int = FOOTPRINT_CAP):
-    """Backtracking embedding search; returns the set of footprint masks,
-    or a single-element set as soon as one embedding exists when
-    ``first_only`` is set."""
-    if pattern.n == 0:
-        raise PreconditionError("pattern must have at least one vertex")
-    results: set[int] = set()
-    if pattern.n > host.n:
-        return results
-    order = _match_order(pattern)
-    k = pattern.n
-    hrows = host.rows
-    full = (1 << host.n) - 1
-    # host vertices eligible per pattern vertex, by degree
-    elig = []
-    for u in order:
-        need = pattern.degree(u)
-        m = 0
-        for x in range(host.n):
-            if hrows[x].bit_count() >= need:
-                m |= 1 << x
-        elig.append(m)
-    # for each position, the earlier positions holding pattern neighbors
-    back = []
-    for idx, u in enumerate(order):
-        back.append([j for j in range(idx) if pattern.has_edge(u, order[j])])
+def _back_edges(g: Graph, order: list[int]) -> list[list[int]]:
+    """For each position of ``order``, the earlier positions holding
+    neighbors of its vertex."""
+    return [[j for j in range(idx) if g.has_edge(u, order[j])]
+            for idx, u in enumerate(order)]
 
+
+def _embed(hrows, back, elig, leaf) -> bool:
+    """Backtracking embedding search.  Position idx takes an unused host
+    vertex of ``elig[idx]`` adjacent to the images of the positions in
+    ``back[idx]``.  ``leaf(used, images)`` runs at each complete embedding
+    (``used`` is the image mask); the search stops, returning True, as
+    soon as it returns True."""
+    k = len(elig)
     images = [0] * k
 
     def place(idx: int, used: int) -> bool:
         if idx == k:
-            results.add(used)
-            if len(results) > cap:
-                raise ResourceLimitError(
-                    f"footprint count exceeds the cap {cap}", limit=cap)
-            return first_only
-        cand = elig[idx] & ~used & full
+            return leaf(used, images)
+        cand = elig[idx] & ~used
         for j in back[idx]:
             cand &= hrows[images[j]]
             if not cand:
@@ -121,7 +93,38 @@ def _run_matcher(pattern: Graph, host: Graph, *, first_only: bool,
                 return True
         return False
 
-    place(0, 0)
+    return place(0, 0)
+
+
+def _run_matcher(pattern: Graph, host: Graph, *, first_only: bool,
+                 cap: int = FOOTPRINT_CAP):
+    """The footprint masks of ``pattern`` in ``host``, or a single-element
+    set as soon as one embedding exists when ``first_only`` is set."""
+    if pattern.n == 0:
+        raise PreconditionError("pattern must have at least one vertex")
+    results: set[int] = set()
+    if pattern.n > host.n:
+        return results
+    order = _match_order(pattern)
+    hrows = host.rows
+    # host vertices eligible per pattern vertex, by degree
+    elig = []
+    for u in order:
+        need = pattern.degree(u)
+        m = 0
+        for x in range(host.n):
+            if hrows[x].bit_count() >= need:
+                m |= 1 << x
+        elig.append(m)
+
+    def leaf(used: int, images) -> bool:
+        results.add(used)
+        if len(results) > cap:
+            raise ResourceLimitError(
+                f"footprint count exceeds the cap {cap}", limit=cap)
+        return first_only
+
+    _embed(hrows, _back_edges(pattern, order), elig, leaf)
     return results
 
 

@@ -1,17 +1,26 @@
 """Automorphism groups, vertex orbits, and transitivity tests.
 
 Permutations are tuples ``p`` with ``p[v]`` the image of vertex v.  The
-group is computed as a stabilizer chain: for each base vertex i we collect
-the images of i under automorphisms that fix 0..i-1 pointwise, together
-with one witness permutation per image.  The group order is then the
-product of the transversal sizes, which stays exact even when the group is
-far too large to enumerate.
+group is computed as a stabilizer chain whose base b_0, b_1, ... is the
+vertex order of the footprint matcher: for each b_t we collect the images
+of b_t under automorphisms that fix b_0..b_{t-1} pointwise, together with
+one witness permutation per image.  The group order is then the product of
+the transversal sizes, which stays exact even when the group is far too
+large to enumerate.
+
+Each witness comes from the backtracking embedding search of ``copies``,
+run with the graph as both pattern and host: b_0..b_{t-1} may map only to
+themselves and b_t only to its candidate image, so the pinned vertices are
+the first ones placed; every other vertex maps into its ``refine_colors``
+class.  The search checks edges alone, which is enough, since an
+edge-preserving bijection of a finite graph onto itself is an automorphism.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .copies import _back_edges, _embed, _match_order
 from .errors import ResourceLimitError, VerificationError
 from .graphs import Graph, bits_of
 
@@ -47,42 +56,6 @@ def refine_colors(g: Graph, seed=None) -> tuple[int, ...]:
         if new == colors:
             return tuple(colors)
         colors = new
-
-
-def _find_automorphism(g: Graph, colors, color_masks, i: int, c: int):
-    """One automorphism fixing vertices 0..i-1 pointwise and sending i to c,
-    or None.  Backtracks over the remaining vertices in index order with
-    color and adjacency-consistency pruning."""
-    n = g.n
-    rows = g.rows
-    mapping = list(range(i)) + [c] + [-1] * (n - i - 1)
-    used = ((1 << i) - 1) | 1 << c
-
-    def extend(v: int) -> bool:
-        nonlocal used
-        if v == n:
-            return True
-        cand = color_masks[colors[v]] & ~used
-        row_v = rows[v]
-        for u in range(v):
-            if cand == 0:
-                return False
-            if row_v >> u & 1:
-                cand &= rows[mapping[u]]
-            else:
-                cand &= ~rows[mapping[u]]
-        for x in bits_of(cand):
-            mapping[v] = x
-            used |= 1 << x
-            if extend(v + 1):
-                return True
-            used &= ~(1 << x)
-        mapping[v] = -1
-        return False
-
-    if extend(i + 1):
-        return tuple(mapping)
-    return None
 
 
 class AutomorphismGroup:
@@ -140,23 +113,41 @@ def _automorphism_group(g: Graph) -> AutomorphismGroup:
     for v, col in enumerate(colors):
         color_masks[col] = color_masks.get(col, 0) | 1 << v
     rows = g.rows
+    order = _match_order(g)
+    back = _back_edges(g, order)
+    # eligible images per match position; the base is the match order, so
+    # the pinned vertices are a prefix of it
+    elig = [color_masks[colors[v]] for v in order]
+    found = []
+
+    def leaf(used: int, images) -> bool:
+        perm = [0] * n
+        for v, x in zip(order, images):
+            perm[v] = x
+        found.append(tuple(perm))
+        return True
+
     transversals = []
     generators = []
-    order = 1
-    for i in range(n):
+    size = 1
+    fixed = 0
+    for t, i in enumerate(order):
         level = [(i, None)]
-        low = (1 << i) - 1
-        for c in range(i + 1, n):
+        for c in bits_of(elig[t] & ~fixed & ~(1 << i)):
             # c must look exactly like i toward the fixed prefix
-            if colors[c] != colors[i] or rows[c] & low != rows[i] & low:
+            if rows[c] & fixed != rows[i] & fixed:
                 continue
-            w = _find_automorphism(g, colors, color_masks, i, c)
-            if w is not None:
+            pinned = elig.copy()
+            pinned[t] = 1 << c
+            if _embed(rows, back, pinned, leaf):
+                w = found.pop()
                 level.append((c, w))
                 generators.append(w)
         transversals.append(level)
-        order *= len(level)
-    return AutomorphismGroup(n, order, tuple(generators), transversals)
+        size *= len(level)
+        elig[t] = 1 << i
+        fixed |= 1 << i
+    return AutomorphismGroup(n, size, tuple(generators), transversals)
 
 
 def automorphisms(g: Graph, order_cap: int = ORDER_CAP) -> AutomorphismGroup:
@@ -171,22 +162,21 @@ def automorphisms(g: Graph, order_cap: int = ORDER_CAP) -> AutomorphismGroup:
 @dataclass(frozen=True)
 class OrbitPartition:
     """Vertex orbits of the automorphism group.  Orbits are numbered by
-    their smallest member, ascending; ``orbit_of[v]`` is v's orbit id."""
+    their smallest member, ascending; ``orbit_of[v]`` is v's orbit id and
+    ``masks[oid]`` the vertex mask of orbit oid."""
 
     orbit_of: tuple[int, ...]
     orbits: tuple[tuple[int, ...], ...]
     group_order: int
     generators: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     @property
     def count(self) -> int:
         return len(self.orbits)
 
     def orbit_mask(self, oid: int) -> int:
-        mask = 0
-        for v in self.orbits[oid]:
-            mask |= 1 << v
-        return mask
+        return self.masks[oid]
 
 
 @lru_cache(maxsize=4096)
@@ -203,28 +193,29 @@ def uncached_orbits(g: Graph) -> OrbitPartition:
 def _orbit_partition(aut: AutomorphismGroup) -> OrbitPartition:
     n = aut.n
     orbit_of = [-1] * n
-    orbit_list = []
+    masks = []
     for v in range(n):
         if orbit_of[v] != -1:
             continue
-        oid = len(orbit_list)
+        oid = len(masks)
         queue = [v]
         orbit_of[v] = oid
-        members = [v]
+        mask = 1 << v
         while queue:
             x = queue.pop()
             for p in aut.generators:
                 y = p[x]
                 if orbit_of[y] == -1:
                     orbit_of[y] = oid
-                    members.append(y)
+                    mask |= 1 << y
                     queue.append(y)
-        orbit_list.append(tuple(sorted(members)))
+        masks.append(mask)
     return OrbitPartition(
         orbit_of=tuple(orbit_of),
-        orbits=tuple(orbit_list),
+        orbits=tuple(tuple(bits_of(m)) for m in masks),
         group_order=aut.order,
         generators=aut.generators,
+        masks=tuple(masks),
     )
 
 

@@ -7,7 +7,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import circulant, cube, petersen, prism
+from conftest import (circulant, cube, hypercube, kneser, paley, petersen,
+                      prism, random_cubic, relabelled)
 from oracles import brute_automorphisms, brute_orbits
 from symcover.errors import ResourceLimitError
 from symcover.graphs import Graph, disjoint_union, generate
@@ -71,8 +72,19 @@ class TestElements:
             assert set(elems) == set(brute_automorphisms(g))
 
     def test_generators_are_automorphisms(self):
-        group = automorphisms(petersen())
-        assert all(is_automorphism(petersen(), p) for p in group.generators)
+        # after Petersen, hosts on which an index-order search ran for minutes
+        rng = random.Random(1)
+        for g, order in (
+            (petersen(), 120),
+            (random_cubic(random.Random(3), 60), 1),
+            (kneser(8, 3), 40320),
+            (relabelled(circulant(32, (1, 4)), rng)[0], 64),
+            (relabelled(hypercube(6), rng)[0], 46080),
+            (relabelled(circulant(40, (1, 7)), rng)[0], 80),
+        ):
+            group = automorphisms(g)
+            assert group.order == orbits(g).group_order == order
+            assert all(is_automorphism(g, p) for p in group.generators)
 
     def test_element_cap_enforced(self):
         group = automorphisms(generate("complete:6"))
@@ -112,6 +124,34 @@ class TestOrbits:
         part = orbits(generate("tailed-star:4"))
         shape = sorted(len(o) for o in part.orbits)
         assert shape == [1, 1, 1, 3]
+
+
+class TestRelabellingInvariance:
+    HOSTS = {
+        "C(12;1,5)": (circulant(12, (1, 5)), 768),
+        "C(13;1,5)": (circulant(13, (1, 5)), 52),
+        "C(20;1,3)": (circulant(20, (1, 3)), 40),
+        "C(21;1,2,5)": (circulant(21, (1, 2, 5)), 42),
+        "C(24;1,2,7)": (circulant(24, (1, 2, 7)), 48),
+        "Q5": (hypercube(5), 3840),
+        "Paley(29)": (paley(29), 406),
+        "Kneser(7,2)": (kneser(7, 2), 5040),
+        "tailed-star:4": (generate("tailed-star:4"), 6),
+        "C(20;1,3)+Petersen": (
+            disjoint_union(circulant(20, (1, 3)), petersen()), 4800),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HOSTS))
+    def test_order_and_orbits_follow_the_relabelling(self, name):
+        g, order = self.HOSTS[name]
+        assert automorphisms(g).order == order
+        want = orbits(g).orbits
+        rng = random.Random(name)
+        for _ in range(3):
+            h, perm = relabelled(g, rng)
+            assert automorphisms(h).order == order
+            moved = sorted(tuple(sorted(perm[v] for v in o)) for o in want)
+            assert sorted(orbits(h).orbits) == moved
 
 
 class TestVertexTransitivity:
