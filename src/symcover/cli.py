@@ -29,7 +29,7 @@ from .graphs import (Graph, emit_graph6, generate, is_connected,
 from .report import rat, render_human
 from .search import (classify_vt_extremal, find_dense_counterexample,
                      scan_connected_extremal)
-from .symmetry import automorphisms, is_vertex_transitive, orbits
+from .symmetry import is_vertex_transitive, orbits
 
 __all__ = ["main"]
 
@@ -122,7 +122,6 @@ def _cmd_gen(args):
 
 def _cmd_info(args):
     g = _load_graph(args.graph)
-    group = automorphisms(g)
     part = orbits(g)
     doc = {
         "graph6": emit_graph6(g),
@@ -130,7 +129,7 @@ def _cmd_info(args):
         "edges": g.edge_count,
         "degree_sequence": list(g.degree_sequence()),
         "connected": is_connected(g),
-        "automorphism_order": group.order,
+        "automorphism_order": part.group_order,
         "orbit_count": part.count,
         "orbits": [list(o) for o in part.orbits],
         "vertex_transitive": is_vertex_transitive(g),

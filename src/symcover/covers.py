@@ -7,8 +7,7 @@ orbits.  Both are solved exactly by one branch and bound, ``_CoverSearch``,
 with certified optimality; ties are broken toward the lexicographically
 smallest witness.  The search indexes the sets by bit, so a node is a mask
 of live set indices plus a mask of banned units.  The witness comes from a
-scan over units whose sub-searches stop at their first cover that fits the
-optimum.
+scan over units that searches only outside the optimal cover it holds.
 """
 from __future__ import annotations
 
@@ -63,18 +62,24 @@ class _CoverSearch:
     of banned units.  Choosing u leaves ``live & ~inc[u]``.  Branching
     takes the live set with the fewest available units (the lowest index
     among ties) and tries each of them in ascending order, banning the
-    units already tried in later branches so the search space partitions;
-    only the sets that newly banned units touch are rechecked for
-    emptiness.  The lower bound packs pairwise disjoint live sets, lowest
-    index first, each pick dropping the sets in ``meet[i]``; the optimum
-    search starts from the greedy maximum-coverage incumbent.
+    units already tried in later branches so the search space partitions.
+    No ban can leave a live set without available units, so none is
+    checked for.  The lower bound packs pairwise disjoint live sets,
+    lowest index first, each pick dropping the sets in ``meet[i]``; the
+    optimum search starts from the greedy maximum-coverage incumbent and
+    returns the unit mask of the cheapest cover it meets, with its cost in
+    ``upper``.
 
     The lex-min witness pass scans units in ascending order and keeps each
-    one that still allows an optimal completion from larger units.  Each
-    of its sub-searches skips the greedy, starts its incumbent at
-    ``limit + 1`` and returns at its first leaf of cost at most ``limit``:
-    a completion costing less would undercut the optimum.  Both phases
-    charge one node budget, and a stop reports the bounds known so far.
+    one that still allows an optimal completion from larger units.  It
+    holds one optimal cover that contains every kept unit and avoids every
+    dropped one, starting from the optimum search's.  A unit in the held
+    cover is kept with no search.  A unit outside it runs a sub-search
+    that skips the greedy, starts its incumbent at ``limit + 1`` and
+    returns at its first leaf of cost at most ``limit`` (a completion
+    costing less would undercut the optimum); the cover found there
+    becomes the held one.  Both phases charge one node budget, and a stop
+    reports the bounds known so far.
     """
 
     def __init__(self, set_masks, costs: dict[int, int], budget: int):
@@ -107,13 +112,6 @@ class _CoverSearch:
                 f"cover search exceeded the node budget {self.budget}",
                 limit=self.budget, best_lower=self.lower,
                 best_upper=self.upper)
-
-    def _keep_a_unit(self, indices: int, banned: int) -> bool:
-        """Whether every set in the index mask has a unit not banned."""
-        for i in bits_of(indices):
-            if not self.sets[i] & ~banned:
-                return False
-        return True
 
     def _greedy(self):
         inc, costs = self.inc, self.costs
@@ -154,7 +152,7 @@ class _CoverSearch:
         return bound
 
     def optimum(self) -> int | None:
-        """Least cost of a cover; None when some set is empty."""
+        """Unit mask of a least-cost cover; None when some set is empty."""
         if self.sets and self.sets[0] == 0:
             return None
         self.lower = self._pack_bound(self.all, 0)
@@ -162,19 +160,19 @@ class _CoverSearch:
         return self._branch(self.all, 0, self.upper + 1, first=False)
 
     def _branch(self, live, banned, incumbent, first):
-        """Least cost below ``incumbent`` of a cover of the live sets by
-        units not banned, or None when there is none.  With ``first`` set,
-        return the first such cost found."""
+        """Unit mask of the cheapest cover below ``incumbent`` of the live
+        sets by units not banned, or None when there is none.  With
+        ``first`` set, return the first such cover found."""
         sets, inc, costs = self.sets, self.inc, self.costs
-        best_cost, found = incumbent, False
+        best_cost, best = incumbent, None
 
-        def dfs(live, banned, cost):
-            nonlocal best_cost, found
+        def dfs(live, banned, cost, chosen):
+            nonlocal best_cost, best
             self._charge()
             if not live:
                 if cost >= best_cost:
                     return False
-                best_cost, found = cost, True
+                best_cost, best = cost, chosen
                 if not first:
                     self.upper = cost
                 return first
@@ -183,43 +181,42 @@ class _CoverSearch:
                 return False
             b = min(bits_of(live),
                     key=lambda i: (sets[i] & ~banned).bit_count())
-            options = sets[b] & ~banned
-            tried = tried_sets = 0
-            for u in bits_of(options):
-                rest = live & ~inc[u]
-                recheck = rest & tried_sets
-                if ((not recheck or self._keep_a_unit(recheck, banned | tried))
-                        and dfs(rest, banned | tried, cost + costs[u])):
+            tried = 0
+            for u in bits_of(sets[b] & ~banned):
+                # no live set runs dry: it would have had fewer units than b
+                if dfs(live & ~inc[u], banned | tried, cost + costs[u],
+                       chosen | 1 << u):
                     return True
                 tried |= 1 << u
-                tried_sets |= inc[u]
             return False
 
-        dfs(live, banned, 0)
-        return best_cost if found else None
+        dfs(live, banned, 0, 0)
+        return best
 
-    def lex_min_witness(self, opt: int) -> int:
-        """Lexicographically smallest unit set achieving cost ``opt``:
-        scan units in ascending order and keep each one that still allows
-        an optimal completion from strictly larger units."""
+    def lex_min_witness(self, opt: int, cover: int) -> int:
+        """Lexicographically smallest cover of cost ``opt``, the cost of
+        ``cover``: scan units in ascending order and keep each one that
+        still allows an optimal completion from strictly larger units."""
         self.lower = self.upper = opt
-        chosen = banned = banned_sets = cost = 0
+        chosen = banned = cost = 0
         live = self.all
         for u in bits_of(self.units):
             if not live:
                 break
-            limit = opt - cost - self.costs[u]
-            rest = live & ~self.inc[u]
-            if (rest != live and limit >= 0
-                    and self._keep_a_unit(rest & banned_sets, banned)
-                    and self._branch(rest, banned | 1 << u, limit + 1,
-                                     first=True) is not None):
-                chosen |= 1 << u
-                cost += self.costs[u]
-                live = rest
-                continue
-            banned |= 1 << u
-            banned_sets |= self.inc[u]
+            if not cover >> u & 1:
+                limit = opt - cost - self.costs[u]
+                rest = live & ~self.inc[u]
+                found = (self._branch(rest, banned | 1 << u, limit + 1,
+                                      first=True)
+                         if rest != live and limit >= 0 else None)
+                if found is None:
+                    # the held cover avoids u, so every live set keeps a unit
+                    banned |= 1 << u
+                    continue
+                cover = chosen | 1 << u | found
+            chosen |= 1 << u
+            cost += self.costs[u]
+            live &= ~self.inc[u]
         if live or cost != opt:
             raise VerificationError(
                 f"lex-min witness pass reached cost {cost} with "
@@ -238,11 +235,11 @@ def _drop_supersets(sets):
 
 def _solve_cover(set_masks, costs, budget):
     search = _CoverSearch(set_masks, costs, budget)
-    opt = search.optimum()
-    if opt is None:
+    cover = search.optimum()
+    if cover is None:
         raise ValueError("infeasible cover: some set has no available unit")
-    witness = search.lex_min_witness(opt) if opt else 0
-    return opt, witness, search.nodes
+    opt = search.upper
+    return opt, search.lex_min_witness(opt, cover), search.nodes
 
 
 def min_hitting_set(family: CopyFamily, n: int | None = None,

@@ -122,6 +122,12 @@ class TestRepr:
         assert doc["vertex_representativity"] == 11
         assert doc["symmetric_representativity"] == 13
 
+    def test_info_ignores_the_order_cap(self, capsys):
+        code, doc = run_json(capsys, "info", "complete:13")
+        assert code == 0
+        assert doc["automorphism_order"] == 6227020800
+        assert doc["orbits"] == [list(range(13))]
+
     def test_node_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMCOVER_NODE_BUDGET", "5")
         code, out, err = run(capsys, "repr", "--pattern", "complete:3",

@@ -19,6 +19,7 @@ from symcover.copies import FOOTPRINT_CAP, CopyFamily, footprints_of
 from symcover.covers import (
     NODE_BUDGET,
     CoverSolution,
+    _CoverSearch,
     _solve_cover,
     extremality_report,
     min_hitting_set,
@@ -46,6 +47,11 @@ def mixed_family(rng: random.Random, n: int) -> list[tuple[int, ...]]:
     contain others."""
     return [tuple(sorted(rng.sample(range(n), rng.randrange(1, 7))))
             for _ in range(rng.randrange(5, 41))]
+
+
+def reverse_units(family, n):
+    """The family with every unit u renamed n - 1 - u."""
+    return [tuple(sorted(n - 1 - u for u in f)) for f in family]
 
 
 def solve_family(family, costs):
@@ -76,8 +82,11 @@ class TestMinHittingSet:
         for _ in range(60):
             n = rng.randrange(10, 15)
             family = mixed_family(rng, n)
-            assert solve_family(family, dict.fromkeys(range(n), 1)) == (
-                brute_min_hitting(family, n))
+            # reversed units move the lex-min witness away from the
+            # optimum's first cover, so the witness pass replaces it
+            for sets in (family, reverse_units(family, n)):
+                assert solve_family(sets, dict.fromkeys(range(n), 1)) == (
+                    brute_min_hitting(sets, n))
 
     def test_matches_weighted_oracle_on_mixed_families(self):
         rng = random.Random(43)
@@ -85,8 +94,9 @@ class TestMinHittingSet:
             n = rng.randrange(10, 15)
             family = mixed_family(rng, n)
             costs = {u: rng.randrange(1, 5) for u in range(n)}
-            assert solve_family(family, costs) == (
-                brute_min_weighted_hitting(family, costs))
+            for sets in (family, reverse_units(family, n)):
+                assert solve_family(sets, costs) == (
+                    brute_min_weighted_hitting(sets, costs))
 
     def test_witness_is_lexicographically_first(self):
         family = CopyFamily(pattern_order=2,
@@ -97,6 +107,15 @@ class TestMinHittingSet:
         family = CopyFamily(pattern_order=2,
                             footprints=((0, 1), (2, 3)))
         assert min_hitting_set(family).witness == (0, 2)
+
+    def test_witness_pass_keeps_the_optimum_cover_without_search(self):
+        # the optimum phase ends on the cover {0, 2}, which is lex-min
+        search = _CoverSearch([0b0011, 0b1100], dict.fromkeys(range(4), 1),
+                              NODE_BUDGET)
+        cover = search.optimum()
+        nodes = search.nodes
+        assert search.lex_min_witness(search.upper, cover) == 0b0101
+        assert search.nodes == nodes
 
 
 class TestRepresentativity:
