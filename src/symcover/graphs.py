@@ -424,72 +424,92 @@ def column_bits(row: int, j: int) -> int:
     return c
 
 
-def _canonical_order(g: Graph,
-                     first_only: bool = False) -> tuple[int, ...] | None:
-    """Vertex ordering whose column-major upper-triangle bit string is
-    lexicographically minimal over all orderings.
+def lex_min_order(n: int, rows,
+                  first_only: bool = False) -> tuple[int, ...] | None:
+    """Vertex ordering of the graph with adjacency ``rows`` whose
+    column-major upper-triangle bit string is lexicographically minimal
+    over all orderings.
 
     Branch and bound with the identity ordering as incumbent.  The column of
     a vertex is its adjacency to the placed prefix, first placed vertex
-    highest.  Only unplaced vertices of least column can continue a minimal
-    ordering, and interchangeable twins among them are tried once.  Every
-    visited prefix matches the incumbent's columns: a larger column is cut,
-    and a smaller one becomes the incumbent's, with the columns after it
-    reset to a bound no column reaches.  With ``first_only`` the search
-    instead returns None at the first smaller column, and the identity when
-    there is none.  Exact for the sizes the enumeration modules use (n up
-    to about 12).
+    highest.  The unplaced vertices are kept as cells, bitmasks of the
+    vertices of one column, in ascending column order.  Only the first cell
+    can continue a minimal ordering, and interchangeable twins in it are
+    tried once.  Placing u splits each cell into its non-neighbours of u
+    (column ``c << 1``) and then its neighbours (``c << 1 | 1``).  The least
+    column after u is read off before the cells are split: a larger one than
+    the incumbent's cuts u, and a smaller one becomes the incumbent's, with
+    the columns after it reset to a bound no column reaches.  With
+    ``first_only`` the search instead returns None at the first smaller
+    column, and the identity when there is none.  Unbudgeted: fast at the
+    enumeration sizes (n up to 12), slow on large symmetric graphs.
     """
-    n = g.n
-    rows = g.rows
     best = [column_bits(rows[j], j) for j in range(n)]
     best_order = tuple(range(n))
-    col = [0] * n
     placed: list[int] = []
 
-    def dfs(unplaced: list[int]) -> bool:
+    def dfs(cells: list[tuple[int, int]]) -> bool:
         nonlocal best_order
-        j = n - len(unplaced)
-        if not unplaced:
-            if best_order is None:
-                best_order = tuple(placed)
-            return False
-        c = min(map(col.__getitem__, unplaced))
-        if c > best[j]:
-            return False
-        if c < best[j]:
-            if first_only:
-                return True
-            best[j:] = [c] + [1 << n] * (n - j - 1)
-            best_order = None
+        j = len(placed) + 1
+        c, first = cells[0]
         tried: list[int] = []
-        for i, u in enumerate(unplaced):
+        left = first
+        while left:
+            bit = left & -left
+            left ^= bit
+            u = bit.bit_length() - 1
+            row = rows[u]
             # twins, alike apart from each other, lead to equal subtrees
-            if col[u] != c or any(rows[u] & ~(1 << t) == rows[t] & ~(1 << u)
-                                  for t in tried):
+            if tried and any(row & ~(1 << t) == rows[t] & ~bit
+                             for t in tried):
                 continue
             tried.append(u)
+            rest = first ^ bit
+            if rest:
+                value, mask = c, rest
+            elif len(cells) > 1:
+                value, mask = cells[1]
+            else:
+                if best_order is None:
+                    best_order = (*placed, u)
+                continue
+            # the least column after u; its low bit is set only when every
+            # vertex of the cell it comes from is a neighbour of u
+            low = value << 1 | (not mask & ~row)
+            if low > best[j]:
+                continue
+            if low < best[j]:
+                if first_only:
+                    return True
+                best[j:] = [low] + [1 << n] * (n - j - 1)
+                best_order = None
+            child = []
+            for value, cell in [(c, rest), *cells[1:]] if rest else cells[1:]:
+                near = cell & row
+                if cell ^ near:
+                    child.append((value << 1, cell ^ near))
+                if near:
+                    child.append((value << 1 | 1, near))
             placed.append(u)
-            rest = unplaced[:i] + unplaced[i + 1:]
-            row_u = rows[u]
-            for w in rest:
-                col[w] = col[w] << 1 | (row_u >> w & 1)
-            stop = dfs(rest)
-            for w in rest:
-                col[w] >>= 1
+            stop = dfs(child)
             placed.pop()
             if stop:
                 return True
         return False
 
-    return None if dfs(list(range(n))) else best_order
+    return None if n and dfs([(0, (1 << n) - 1)]) else best_order
+
+
+def _canonical_order(g: Graph) -> tuple[int, ...]:
+    """The lex-min vertex ordering of g."""
+    return lex_min_order(g.n, g.rows)
 
 
 def is_lex_min_labelled(g: Graph) -> bool:
     """Whether g is its own canonical representative.  Uncached and stopped
     at the first better prefix, so orderly generation can test every
     labelled child without keeping it."""
-    return _canonical_order(g, first_only=True) is not None
+    return lex_min_order(g.n, g.rows, first_only=True) is not None
 
 
 @lru_cache(maxsize=1 << 16)

@@ -6,11 +6,13 @@ adjacency bit string is lexicographically least.  Deleting the last vertex
 of such a graph leaves a graph in the same form, so extending every kept
 graph on m-1 vertices by every possible last column, and keeping the
 children already in that form, reaches every class exactly once; no
-isomorphism test between candidates is needed.  Classes are listed in
-graph6 order, so reports are byte-identical across runs.  Scan results are
-line-oriented records (canonical graph6 plus verdict) with a summary
-document on top; anything appended to a counterexample or classification
-list is first re-verified from its serialized form.
+isomorphism test between candidates is needed.  Each child is tested on
+its adjacency rows, and a Graph is built only for the children kept.
+Classes are listed in graph6 order, so reports are byte-identical across
+runs.  Scan results are line-oriented records (canonical graph6 plus
+verdict) with a summary document on top; anything appended to a
+counterexample or classification list is first re-verified from its
+serialized form.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .covers import (extremality_report, min_hitting_set, min_orbit_cover,
                      vertex_representativity)
 from .errors import PreconditionError, ResourceLimitError, VerificationError
 from .graphs import (Graph, bits_of, canonical_graph, column_bits,
-                     emit_graph6, generate, is_connected, is_lex_min_labelled,
+                     emit_graph6, generate, is_connected, lex_min_order,
                      parse_graph6)
 from .symmetry import is_vertex_transitive, uncached_orbits
 
@@ -134,10 +136,13 @@ def _extend(parents, lo: int, hi: int) -> list[Graph]:
         while forced | sub >= floor:
             col = forced | sub
             if lo <= col.bit_count() <= hi:
-                child = Graph(m + 1, parent.edges() + tuple(
-                    (m - 1 - b, m) for b in bits_of(col)))
-                if is_lex_min_labelled(child):
-                    out.append(child)
+                rows = [*parent.rows, 0]
+                for b in bits_of(col):
+                    rows[m - 1 - b] |= 1 << m
+                    rows[m] |= 1 << (m - 1 - b)
+                if lex_min_order(m + 1, rows, first_only=True) is not None:
+                    out.append(Graph(m + 1, parent.edges() + tuple(
+                        (u, m) for u in bits_of(rows[m]))))
             if not sub:
                 break
             sub = (sub - 1) & room
@@ -213,8 +218,11 @@ def _reverify(pattern: Graph, g6: str, verdict: str) -> None:
 def find_dense_counterexample(n_max: int, k_range) -> SearchReport:
     """Scan all k-regular graphs, k in k_range, on at most n_max vertices
     for one whose every neighborhood deficiency p satisfies 1 <= p < k/2.
-    No graph passes; the counterexample list is expected empty."""
+    No graph passes; the counterexample list is expected empty.  An empty
+    k_range is refused, since it would scan nothing."""
     ks = sorted(set(k_range))
+    if not ks:
+        raise PreconditionError("the degree range is empty")
     if any(k < 0 for k in ks):
         raise PreconditionError("degrees must be nonnegative")
     _require_cap(n_max, REGULAR_CAP, "regular")
@@ -323,9 +331,9 @@ def scan_connected_extremal(d: int = 3, n_max: int = 7) -> SearchReport:
             if not report.is_extremal:
                 records.append((g6, "not-extremal " + verdict))
                 continue
+            _reverify(pattern, g6, verdict)
             hits.append(g6)
             if report.plain.value > 1:
-                _reverify(pattern, g6, verdict)
                 violations.append(g6)
                 records.append((g6, "extremal-wide " + verdict))
             else:

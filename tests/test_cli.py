@@ -266,6 +266,14 @@ class TestSearches:
         assert code == 0
         assert doc["params"]["degrees"] == "[3, 4]"
 
+    def test_dense_empty_degree_range_exits_2(self, capsys):
+        for degrees in ("5..3", ","):
+            code, out, err = run(capsys, "search", "dense", "--max-n", "6",
+                                 "--degree", degrees, "--json")
+            assert code == 2, degrees
+            assert out == ""
+            assert err.startswith("error:") and "empty" in err
+
     def test_vt_extremal(self, capsys):
         code, doc = run_json(capsys, "search", "vt-extremal", "--tail", "3",
                              "--max-n", "6")

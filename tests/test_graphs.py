@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cube
+from conftest import cube, relabelled
 from oracles import brute_canonical_edges
 from symcover.errors import FamilySpecError, GraphParseError
 from symcover.graphs import (
@@ -23,11 +23,13 @@ from symcover.graphs import (
     induced_subgraph,
     is_connected,
     is_isomorphic,
+    is_lex_min_labelled,
     is_regular,
     parse_edge_list,
     parse_family_spec,
     parse_graph6,
 )
+from symcover.search import enum_graphs
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
@@ -221,6 +223,34 @@ class TestCanonical:
         perm = data.draw(st.permutations(range(n)))
         g = Graph(n, sorted(edges))
         assert canonical_form(g) == canonical_form(g.relabel(perm))
+
+    def test_one_lex_min_labelling_per_class_on_six_vertices(self):
+        # A000088: 156 classes among the 2^15 labelled graphs
+        pairs = list(combinations(range(6), 2))
+        passing = sum(
+            is_lex_min_labelled(Graph(6, [p for i, p in enumerate(pairs)
+                                          if mask >> i & 1]))
+            for mask in range(1 << len(pairs)))
+        assert passing == 156
+
+    def test_lex_min_labelled_means_canonical_on_five_vertices(self):
+        pairs = list(combinations(range(5), 2))
+        passing = 0
+        for mask in range(1 << len(pairs)):
+            g = Graph(5, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            assert is_lex_min_labelled(g) == (canonical_graph(g) == g), g
+            passing += is_lex_min_labelled(g)
+        assert passing == 34
+
+    def test_regular_classes_return_under_relabelling(self):
+        # cubic graphs tie on many columns, which exercises the incumbent
+        # reset of the lex-min search
+        rng = random.Random(23)
+        classes = enum_graphs(10, regular_k=3)
+        assert len(classes) == 21
+        for g in classes:
+            for _ in range(3):
+                assert canonical_graph(relabelled(g, rng)[0]) == g, g
 
     def test_distinct_classes_have_distinct_forms(self):
         prism6 = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),

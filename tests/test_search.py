@@ -118,6 +118,13 @@ class TestDenseScan:
         with pytest.raises(ResourceLimitError):
             find_dense_counterexample(11, (3,))
 
+    def test_empty_degree_range_rejected(self):
+        # an empty range would scan nothing and read as "no counterexample"
+        with pytest.raises(PreconditionError, match="empty"):
+            find_dense_counterexample(6, range(5, 3))
+        with pytest.raises(PreconditionError, match="empty"):
+            find_dense_counterexample(6, ())
+
 
 class TestVtScan:
     def test_small_range_finds_the_complete_graph(self, k5):
@@ -199,6 +206,14 @@ class TestConnectedScan:
         assert report.candidate_count == 0
         assert report.classification == ()
         assert report.notes == ("no extremal hit in range; nothing to flag",)
+
+    def test_reverification_mismatch_raises(self, monkeypatch):
+        # the only hit up to 5 vertices is K5, with plain cover 1
+        def disagreeing(family, n=None):
+            return CoverSolution(value=2, witness=(0, 1), nodes_explored=0)
+        monkeypatch.setattr(symcover.search, "min_hitting_set", disagreeing)
+        with pytest.raises(VerificationError, match="re-solved"):
+            scan_connected_extremal(3, 5)
 
     def test_determinism(self):
         a = scan_connected_extremal(3, 6)
