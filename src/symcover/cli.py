@@ -250,12 +250,14 @@ def _cmd_search_dense(args):
 
 
 def _cmd_search_vt(args):
-    report = classify_vt_extremal(args.tail, args.max_n)
+    report = classify_vt_extremal(args.tail, args.max_n, args.footprint_cap,
+                                  args.node_budget)
     return report.to_doc(), 0, report.lines()
 
 
 def _cmd_search_connected(args):
-    report = scan_connected_extremal(args.tail, args.max_n)
+    report = scan_connected_extremal(args.tail, args.max_n,
+                                     args.footprint_cap, args.node_budget)
     code = 1 if report.counterexamples else 0
     return report.to_doc(), code, report.lines()
 

@@ -8,6 +8,8 @@ graph on m-1 vertices by every possible last column, and keeping the
 children already in that form, reaches every class exactly once; no
 isomorphism test between candidates is needed.  Each child is tested on
 its adjacency rows, and a Graph is built only for the children kept.
+Regular classes skip that test for children whose degree deficit the
+vertices still to come cannot fill (degree-bounded orderly generation).
 Classes are listed in graph6 order, so reports are byte-identical across
 runs.  Scan results are line-oriented records (canonical graph6 plus
 verdict) with a summary document on top; anything appended to a
@@ -19,12 +21,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .checks import neighborhood_profile
-from .copies import (enumerate_footprints, footprints_of,
+from .copies import (FOOTPRINT_CAP, enumerate_footprints, footprints_of,
                      # unused: the tracer in bench/spans.py wraps this name
                      contains_copy)
-from .covers import (extremality_report, min_hitting_set, min_orbit_cover,
+from .covers import (NODE_BUDGET, extremality_report, min_hitting_set,
+                     min_orbit_cover,
                      # unused: the tracer in bench/spans.py wraps these names
                      symmetric_vertex_representativity,
                      vertex_representativity)
@@ -112,7 +116,8 @@ def _by_graph6(graphs) -> tuple[Graph, ...]:
     return tuple(sorted(graphs, key=emit_graph6))
 
 
-def _extend(parents, lo: int, hi: int) -> list[Graph]:
+def _extend(parents, lo: int, hi: int,
+            rest: int | None = None) -> list[Graph]:
     """One orderly-generation step: extend each lex-min labelled parent by
     every last column (its adjacency to the parent's vertices, vertex 0 in
     the highest bit) and keep the children that are still lex-min labelled
@@ -121,6 +126,22 @@ def _extend(parents, lo: int, hi: int) -> list[Graph]:
     A lex-min labelling picks a least column at every position, so the new
     column, less its last bit, is at least the parent's last column; the
     columns are tried downward from the largest until they fall below that.
+
+    With ``rest`` given, a child must still grow into a hi-regular graph
+    once ``rest`` more vertices come, and two cuts drop those that cannot
+    before the lex-min test.  First, the child's degree deficit D, the sum
+    of hi - deg over its m+1 vertices, is filled by the rest*hi edge ends of
+    the vertices to come less twice the e edges among them, 0 <= e <=
+    rest(rest-1)/2, and each of them has at most min(hi, m+1) earlier
+    neighbours.  So rest(hi-rest+1) <= D <= rest*min(hi, m+1); as D is the
+    parent's deficit plus hi less twice the column's popcount, this is a
+    window on the popcount.  (D = rest*hi mod 2 needs no test, as D is
+    (m+1)*hi less twice the child's edges and n*hi is even.)  Second, every
+    later column cut to the first m positions is at least the new one, so
+    each vertex to come has a neighbour no later than the new column's
+    first one, p.  The deficit of positions 0..p, less the new edge at p,
+    must cover rest: the column may hold no position before the first whose
+    prefix deficit exceeds rest.
     """
     out = []
     for parent in parents:
@@ -132,10 +153,21 @@ def _extend(parents, lo: int, hi: int) -> list[Graph]:
                 forced |= 1 << (m - 1 - u)
             elif row.bit_count() < hi:
                 room |= 1 << (m - 1 - u)
+        least, most = lo, hi
+        if rest is not None:
+            prefix = [0, *accumulate(hi - row.bit_count()
+                                     for row in parent.rows)]
+            need = prefix[-1] + hi  # the child's D is need - 2*popcount
+            least = max(lo, (need - rest * min(hi, m + 1) + 1) // 2)
+            most = min(hi, (need - rest * (hi - rest + 1)) // 2)
+            start = next((u for u in range(m) if prefix[u + 1] > rest), m)
+            if forced >> (m - start):
+                continue
+            room &= (1 << (m - start)) - 1
         sub = room
         while forced | sub >= floor:
             col = forced | sub
-            if lo <= col.bit_count() <= hi:
+            if least <= col.bit_count() <= most:
                 rows = [*parent.rows, 0]
                 for b in bits_of(col):
                     rows[m - 1 - b] |= 1 << m
@@ -171,10 +203,11 @@ def _regular_graphs(n: int, k: int) -> tuple[Graph, ...]:
     if 2 * k > n - 1:
         return _by_graph6(canonical_graph(_complement(g))
                           for g in _regular_graphs(n, n - 1 - k))
-    # a vertex of the m-vertex level must still reach k from n - m more
+    # a vertex of the m-vertex level must still reach k from n - m more;
+    # _extend also drops children whose deficit those n - m cannot fill
     level = [Graph(0, ())]
     for m in range(1, n + 1):
-        level = _extend(level, k - (n - m), k)
+        level = _extend(level, k - (n - m), k, n - m)
     return _by_graph6(level)
 
 
@@ -186,17 +219,19 @@ def _verdict(plain, invariant) -> str:
     return f"plain={plain.value} invariant={invariant.value}"
 
 
-def _reverify(pattern: Graph, g6: str, verdict: str) -> None:
+def _reverify(pattern: Graph, g6: str, verdict: str,
+              cap: int = FOOTPRINT_CAP,
+              node_budget: int = NODE_BUDGET) -> None:
     """Re-derive both covers from the host parsed back from its record,
     past every cache: fresh footprints, a fresh orbit partition and fresh
     cover searches.  Raise if the verdict changes, or if a witness misses
     a fresh footprint, has a size other than its value, or (for the
     invariant cover) is not a union of fresh orbits."""
     fresh = parse_graph6(g6)
-    family = enumerate_footprints(pattern, fresh)
+    family = enumerate_footprints(pattern, fresh, cap)
     part = uncached_orbits(fresh)
-    plain = min_hitting_set(family, fresh.n)
-    invariant = min_orbit_cover(family, part)
+    plain = min_hitting_set(family, fresh.n, node_budget)
+    invariant = min_orbit_cover(family, part, node_budget)
     again = _verdict(plain, invariant)
     if again != verdict:
         raise VerificationError(f"{g6}: {verdict}, re-solved {again}")
@@ -261,10 +296,13 @@ def find_dense_counterexample(n_max: int, k_range) -> SearchReport:
     )
 
 
-def classify_vt_extremal(d: int, n_max: int) -> SearchReport:
+def classify_vt_extremal(d: int, n_max: int, cap: int = FOOTPRINT_CAP,
+                         node_budget: int = NODE_BUDGET) -> SearchReport:
     """List every connected vertex-transitive host on at most n_max
     vertices whose invariant cover for the d-ray tailed star costs exactly
-    (d+2) times the plain cover, both positive."""
+    (d+2) times the plain cover, both positive.  ``cap`` and
+    ``node_budget`` bound each host's footprint enumeration and cover
+    searches, re-verification included."""
     if d < 3:
         raise PreconditionError("tail parameter must be at least 3")
     _require_cap(n_max, REGULAR_CAP, "regular")
@@ -282,13 +320,13 @@ def classify_vt_extremal(d: int, n_max: int) -> SearchReport:
                     continue
                 count += 1
                 g6 = emit_graph6(g)
-                if not footprints_of(pattern, g).footprints:
+                if not footprints_of(pattern, g, cap).footprints:
                     records.append((g6, "no-copies"))
                     continue
-                report = extremality_report(pattern, g)
+                report = extremality_report(pattern, g, cap, node_budget)
                 verdict = _verdict(report.plain, report.invariant)
                 if report.is_extremal:
-                    _reverify(pattern, g6, verdict)
+                    _reverify(pattern, g6, verdict, cap, node_budget)
                     hits.append(g6)
                     records.append((g6, "extremal " + verdict))
                 else:
@@ -306,10 +344,13 @@ def classify_vt_extremal(d: int, n_max: int) -> SearchReport:
     )
 
 
-def scan_connected_extremal(d: int = 3, n_max: int = 7) -> SearchReport:
+def scan_connected_extremal(d: int = 3, n_max: int = 7,
+                            cap: int = FOOTPRINT_CAP,
+                            node_budget: int = NODE_BUDGET) -> SearchReport:
     """Scan every connected host on at most n_max vertices that contains
     the d-ray tailed star; classify the extremal ones and flag any with a
-    plain cover above 1.  The flag list is expected empty."""
+    plain cover above 1.  The flag list is expected empty.  ``cap`` and
+    ``node_budget`` bound each host as in ``classify_vt_extremal``."""
     if d < 1:
         raise PreconditionError("tail parameter must be positive")
     _require_cap(n_max, UNCONSTRAINED_CAP, "unconstrained")
@@ -323,15 +364,15 @@ def scan_connected_extremal(d: int = 3, n_max: int = 7) -> SearchReport:
         for g in enum_graphs(n, connected_only=True):
             count += 1
             g6 = emit_graph6(g)
-            if not footprints_of(pattern, g).footprints:
+            if not footprints_of(pattern, g, cap).footprints:
                 records.append((g6, "no-copies"))
                 continue
-            report = extremality_report(pattern, g)
+            report = extremality_report(pattern, g, cap, node_budget)
             verdict = _verdict(report.plain, report.invariant)
             if not report.is_extremal:
                 records.append((g6, "not-extremal " + verdict))
                 continue
-            _reverify(pattern, g6, verdict)
+            _reverify(pattern, g6, verdict, cap, node_budget)
             hits.append(g6)
             if report.plain.value > 1:
                 violations.append(g6)

@@ -288,6 +288,22 @@ class TestSearches:
         assert "records:" not in out
         assert "counterexamples: []" in out
 
+    @pytest.mark.parametrize("flag, variable, says", [
+        ("--node-budget", "SYMCOVER_NODE_BUDGET", "node budget"),
+        ("--footprint-cap", "SYMCOVER_FOOTPRINT_CAP", "exceeds the cap")])
+    def test_cover_scans_honour_the_bounds(self, capsys, monkeypatch, flag,
+                                           variable, says):
+        for scan in ("vt-extremal", "connected-extremal"):
+            argv = ["search", scan, "--tail", "3", "--max-n", "6"]
+            code, out, err = run(capsys, *argv, flag, "1")
+            assert code == 2 and err.startswith("error:"), scan
+            assert says in err, scan
+            monkeypatch.setenv(variable, "1")
+            code, out, err = run(capsys, *argv)
+            monkeypatch.delenv(variable)
+            assert code == 2 and err.startswith("error:"), scan
+            assert says in err, scan
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

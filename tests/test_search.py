@@ -8,7 +8,7 @@ from conftest import prism
 import symcover.copies
 import symcover.search
 import symcover.symmetry
-from symcover.covers import CoverSolution
+from symcover.covers import NODE_BUDGET, CoverSolution
 from symcover.errors import (PreconditionError, ResourceLimitError,
                              VerificationError)
 from symcover.graphs import (Graph, canonical_form, emit_graph6, generate,
@@ -33,6 +33,13 @@ REGULAR_COUNTS = {
     (5, 2): 1, (6, 2): 2, (7, 2): 2, (8, 2): 3, (10, 2): 5,
     (10, 4): 60,
 }
+# every n <= 10 at k <= 2, where the lower end of the degree-deficit window
+# stays negative until the last levels: one 0-regular class, one 1-regular
+# class for even n, and A008483 for k = 2
+REGULAR_COUNTS.update(
+    {(n, k): count
+     for n, two in enumerate((0, 0, 1, 1, 1, 2, 2, 3, 4, 5), start=1)
+     for k, count in ((0, 1), (1, (n + 1) % 2), (2, two))})
 
 
 class TestEnumeration:
@@ -60,13 +67,31 @@ class TestEnumeration:
             assert all(is_regular(g, k) for g in got)
 
     def test_regular_agrees_with_filtered_enumeration(self):
-        for n in range(1, 7):
+        for n in range(1, 8):
             everything = enum_graphs(n)
             for k in range(n):
                 want = sorted(canonical_form(g) for g in everything
                               if is_regular(g, k))
                 got = [canonical_form(g) for g in enum_graphs(n, regular_k=k)]
                 assert got == want, (n, k)
+
+    def test_infeasible_children_skip_the_canonicity_test(self, monkeypatch):
+        # without the degree-feasibility cuts 5,284 and 2,159 children reach
+        # the test; the popcount window alone leaves 3,123 and 1,206, the
+        # first-neighbour cut alone 3,225 and 1,148, and both 1,765 and 485
+        calls = 0
+        lex_min_order = symcover.search.lex_min_order
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return lex_min_order(*args, **kwargs)
+
+        monkeypatch.setattr(symcover.search, "lex_min_order", counted)
+        for k, most in ((4, 1800), (3, 500)):
+            calls = 0
+            symcover.search._regular_graphs.__wrapped__(10, k)
+            assert calls <= most, (k, calls)
 
     def test_cubic_graphs_on_six_vertices(self):
         got = {canonical_form(g)
@@ -139,7 +164,7 @@ class TestVtScan:
             classify_vt_extremal(2, 6)
 
     def test_reverification_mismatch_raises(self, monkeypatch):
-        def disagreeing(family, n=None):
+        def disagreeing(family, n=None, node_budget=None):
             return CoverSolution(value=2, witness=(0, 1), nodes_explored=0)
         monkeypatch.setattr(symcover.search, "min_hitting_set", disagreeing)
         with pytest.raises(VerificationError, match="re-solved"):
@@ -164,12 +189,12 @@ class TestVtScan:
         symcover.search._reverify(pattern, g6, "plain=2 invariant=6")
         solve_plain = symcover.search.min_hitting_set
 
-        def missing(family, n=None):
-            sol = solve_plain(family, n)
+        def missing(family, n=None, node_budget=NODE_BUDGET):
+            sol = solve_plain(family, n, node_budget)
             return CoverSolution(value=sol.value, witness=(0, 1),
                                  nodes_explored=sol.nodes_explored)
 
-        def not_a_union(family, part):
+        def not_a_union(family, part, node_budget=None):
             # hits every footprint, but splits the orbit
             return CoverSolution(value=5, witness=(0, 1, 2, 3, 4),
                                  nodes_explored=0, orbit_ids=(0,))
@@ -209,7 +234,7 @@ class TestConnectedScan:
 
     def test_reverification_mismatch_raises(self, monkeypatch):
         # the only hit up to 5 vertices is K5, with plain cover 1
-        def disagreeing(family, n=None):
+        def disagreeing(family, n=None, node_budget=None):
             return CoverSolution(value=2, witness=(0, 1), nodes_explored=0)
         monkeypatch.setattr(symcover.search, "min_hitting_set", disagreeing)
         with pytest.raises(VerificationError, match="re-solved"):
