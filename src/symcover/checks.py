@@ -12,15 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .copies import footprints_of, contains_copy, FOOTPRINT_CAP
-from .covers import (CoverSolution, NODE_BUDGET, extremality_report,
-                     # unused: the tracer in bench/spans.py wraps these names
-                     symmetric_vertex_representativity,
-                     vertex_representativity)
+from .copies import footprints_of, FOOTPRINT_CAP
+from .covers import CoverSolution, NODE_BUDGET, extremality_report
+# unused: the tracer in bench/spans.py wraps these names
+from .copies import contains_copy
+from .covers import symmetric_vertex_representativity, vertex_representativity
 from .errors import (NotAHittingSetError, PreconditionError,
                      VerificationError, WeightConstructionError)
-from .graphs import Graph, bits_of, induced_subgraph, is_connected, \
-    has_pendant_vertex
+from .graphs import Graph, bits_of, is_connected, has_pendant_vertex
 from .report import rat
 from .symmetry import automorphisms, orbits, ELEMENT_CAP
 
@@ -54,6 +53,18 @@ def _as_mask(vertices, n: int, what: str) -> int:
                                     f"outside 0..{n - 1}")
         mask |= 1 << v
     return mask
+
+
+def _orbits_holding_a_footprint(part, masks) -> set[int]:
+    """Ids of the orbits holding a whole footprint, i.e. whose induced
+    subgraph carries the pattern.  Only its lowest vertex's orbit can hold
+    a footprint, so one test per footprint decides."""
+    held = set()
+    for fm in masks:
+        oid = part.orbit_of[(fm & -fm).bit_length() - 1]
+        if not fm & ~part.masks[oid]:
+            held.add(oid)
+    return held
 
 
 # -- orbit sum lower bound ----------------------------------------------------
@@ -97,14 +108,13 @@ def verify_orbit_sum_bound(pattern: Graph, host: Graph, marked,
     """
     family = footprints_of(pattern, host, cap=cap)
     x_mask = _as_mask(marked, host.n, "marked set")
-    for fp, m in zip(family.footprints, family.masks()):
-        if not m & x_mask:
-            raise NotAHittingSetError(fp)
     part = orbits(host)
     inter = [(om & x_mask).bit_count() for om in part.masks]
     sizes = [len(o) for o in part.orbits]
     rows = []
     for fp, m in zip(family.footprints, family.masks()):
+        if not m & x_mask:
+            raise NotAHittingSetError(fp)
         total = Fraction(0)
         for oid in {part.orbit_of[v] for v in fp}:
             if inter[oid]:
@@ -200,11 +210,8 @@ def check_extremal_boundary(pattern: Graph, host: Graph,
     masks = family.masks()
     cond2_fail = tuple(
         fp for fp, fm in zip(family.footprints, masks) if fm & ~meeting_mask)
-    cond3_fail = []
-    for oid in meeting:
-        om = part.orbit_mask(oid)
-        if not any(fm & ~om == 0 for fm in masks):
-            cond3_fail.append(oid)
+    held = _orbits_holding_a_footprint(part, masks)
+    cond3_fail = tuple(oid for oid in meeting if oid not in held)
     return BoundaryReport(
         pattern_order=m,
         plain=plain,
@@ -215,7 +222,7 @@ def check_extremal_boundary(pattern: Graph, host: Graph,
         condition2=not cond2_fail,
         condition2_failures=cond2_fail,
         condition3=not cond3_fail,
-        condition3_failures=tuple(cond3_fail),
+        condition3_failures=cond3_fail,
     )
 
 
@@ -336,18 +343,14 @@ def check_orbit_pattern_containment(
     if not applicable:
         return OrbitContainmentReport(preconditions=pre, applicable=False)
     part = orbits(host)
-    rows = []
-    first_fail = None
-    for oid in range(part.count):
-        sub = induced_subgraph(host, part.orbits[oid])
-        ok = contains_copy(pattern, sub)
-        rows.append((oid, ok))
-        if not ok and first_fail is None:
-            first_fail = oid
+    held = _orbits_holding_a_footprint(
+        part, footprints_of(pattern, host, cap).masks())
+    rows = tuple((oid, oid in held) for oid in range(part.count))
+    first_fail = next((oid for oid, ok in rows if not ok), None)
     return OrbitContainmentReport(
         preconditions=pre,
         applicable=True,
-        rows=tuple(rows),
+        rows=rows,
         holds=first_fail is None,
         first_failing_orbit=first_fail,
     )

@@ -24,8 +24,8 @@ from .copies import FOOTPRINT_CAP, footprints_of
 from .covers import NODE_BUDGET, extremality_report, vertex_representativity
 from .errors import (GraphParseError, PreconditionError,
                      ResourceLimitError, SymcoverError)
-from .graphs import (Graph, emit_graph6, generate, is_connected,
-                     parse_edge_list, parse_graph6)
+from .graphs import (_UNARY_KINDS, Graph, emit_graph6, generate,
+                     is_connected, parse_edge_list, parse_graph6)
 from .report import rat, render_human
 from .search import (classify_vt_extremal, find_dense_counterexample,
                      scan_connected_extremal)
@@ -33,16 +33,12 @@ from .symmetry import is_vertex_transitive, orbits
 
 __all__ = ["main"]
 
-_FAMILY_HEADS = frozenset(
-    {"complete", "cocktail", "tailed-star", "cycle", "path", "union"})
-
-
 def _load_graph(arg: str) -> Graph:
     """Resolve a graph argument: ``g6:<string>`` literal, family spec, or
     a file holding one graph6 line or an edge list."""
     if arg.startswith("g6:"):
         return parse_graph6(arg[3:])
-    if arg.split(":", 1)[0] in _FAMILY_HEADS:
+    if arg.split(":", 1)[0] in (*_UNARY_KINDS, "union"):
         return generate(arg)
     path = Path(arg)
     if not path.is_file():
@@ -266,12 +262,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit the structured document as JSON")
-    common.add_argument("--node-budget", type=int, default=None,
-                        help="cover search node budget "
-                             "(default from SYMCOVER_NODE_BUDGET)")
-    common.add_argument("--footprint-cap", type=int, default=None,
-                        help="footprint enumeration cap "
-                             "(default from SYMCOVER_FOOTPRINT_CAP)")
+    # for the subcommands that enumerate footprints or search covers
+    bounded = argparse.ArgumentParser(add_help=False, parents=[common])
+    bounded.add_argument("--node-budget", type=int, default=None,
+                         help="cover search node budget "
+                              "(default from SYMCOVER_NODE_BUDGET)")
+    bounded.add_argument("--footprint-cap", type=int, default=None,
+                         help="footprint enumeration cap "
+                              "(default from SYMCOVER_FOOTPRINT_CAP)")
 
     parser = argparse.ArgumentParser(
         prog="symcover",
@@ -290,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.set_defaults(func=_cmd_info)
 
-    p = sub.add_parser("repr", parents=[common],
+    p = sub.add_parser("repr", parents=[bounded],
                        help="plain and invariant cover costs with witnesses")
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True)
@@ -299,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run one verifier")
     claims = check.add_subparsers(dest="claim", required=True)
 
-    p = claims.add_parser("thm1.1", parents=[common],
+    p = claims.add_parser("thm1.1", parents=[bounded],
                           help="orbit-weighted sums over footprints are >= 1")
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True)
@@ -308,14 +306,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         "minimum)")
     p.set_defaults(func=_cmd_check_orbit_sum)
 
-    p = claims.add_parser("cor1.2", parents=[common],
+    p = claims.add_parser("cor1.2", parents=[bounded],
                           help="structural conditions at the extremal "
                                "boundary")
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True)
     p.set_defaults(func=_cmd_check_boundary)
 
-    p = claims.add_parser("utv2.1", parents=[common],
+    p = claims.add_parser("utv2.1", parents=[bounded],
                           help="orbit densities of a minimal set at the "
                                "extremal boundary")
     p.add_argument("--pattern", required=True)
@@ -323,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", default=None)
     p.set_defaults(func=_cmd_check_density)
 
-    p = claims.add_parser("thm2.2", parents=[common],
+    p = claims.add_parser("thm2.2", parents=[bounded],
                           help="each orbit's induced subgraph contains the "
                                "pattern")
     p.add_argument("--pattern", required=True)
@@ -343,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.set_defaults(func=_cmd_check_expansion)
 
-    p = claims.add_parser("weights", parents=[common],
+    p = claims.add_parser("weights", parents=[bounded],
                           help="pair weight layout and its invariant system")
     p.add_argument("--host", required=True)
     p.add_argument("--pair", required=True, help="adjacent pair v,w")
@@ -370,13 +368,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", default="3..5", help="k list or lo..hi")
     p.set_defaults(func=_cmd_search_dense)
 
-    p = scans.add_parser("vt-extremal", parents=[common],
+    p = scans.add_parser("vt-extremal", parents=[bounded],
                          help="classify vertex-transitive extremal hosts")
     p.add_argument("--tail", type=int, default=3)
     p.add_argument("--max-n", type=int, default=8)
     p.set_defaults(func=_cmd_search_vt)
 
-    p = scans.add_parser("connected-extremal", parents=[common],
+    p = scans.add_parser("connected-extremal", parents=[bounded],
                          help="scan connected hosts for wide extremal pairs")
     p.add_argument("--tail", type=int, default=3)
     p.add_argument("--max-n", type=int, default=7)
@@ -391,9 +389,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if getattr(args, "node_budget", None) is None:
+        # None only on a subcommand that takes the flag and was not given it
+        if getattr(args, "node_budget", 0) is None:
             args.node_budget = _env_int("SYMCOVER_NODE_BUDGET", NODE_BUDGET)
-        if getattr(args, "footprint_cap", None) is None:
+        if getattr(args, "footprint_cap", 0) is None:
             args.footprint_cap = _env_int("SYMCOVER_FOOTPRINT_CAP",
                                           FOOTPRINT_CAP)
         doc, code, record_lines = args.func(args)

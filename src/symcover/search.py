@@ -250,6 +250,20 @@ def _reverify(pattern: Graph, g6: str, verdict: str,
             f"union of orbits")
 
 
+def _scan_host(pattern: Graph, g: Graph, g6: str, cap: int,
+               node_budget: int) -> tuple[str, int | None]:
+    """One cover-scan host's record verdict and, if it is extremal (and so
+    re-verified from its graph6 record), its plain cover value."""
+    if not footprints_of(pattern, g, cap).footprints:
+        return "no-copies", None
+    report = extremality_report(pattern, g, cap, node_budget)
+    verdict = _verdict(report.plain, report.invariant)
+    if not report.is_extremal:
+        return "not-extremal " + verdict, None
+    _reverify(pattern, g6, verdict, cap, node_budget)
+    return "extremal " + verdict, report.plain.value
+
+
 def find_dense_counterexample(n_max: int, k_range) -> SearchReport:
     """Scan all k-regular graphs, k in k_range, on at most n_max vertices
     for one whose every neighborhood deficiency p satisfies 1 <= p < k/2.
@@ -269,8 +283,6 @@ def find_dense_counterexample(n_max: int, k_range) -> SearchReport:
     for k in ks:
         k_count = 0
         for n in range(k + 1, n_max + 1):
-            if n * k % 2:
-                continue
             for g in _regular_graphs(n, k):
                 count += 1
                 k_count += 1
@@ -313,24 +325,15 @@ def classify_vt_extremal(d: int, n_max: int, cap: int = FOOTPRINT_CAP,
     count = 0
     for n in range(d + 2, n_max + 1):
         for k in range(1, n):
-            if n * k % 2:
-                continue
             for g in _regular_graphs(n, k):
                 if not is_connected(g) or not is_vertex_transitive(g):
                     continue
                 count += 1
                 g6 = emit_graph6(g)
-                if not footprints_of(pattern, g, cap).footprints:
-                    records.append((g6, "no-copies"))
-                    continue
-                report = extremality_report(pattern, g, cap, node_budget)
-                verdict = _verdict(report.plain, report.invariant)
-                if report.is_extremal:
-                    _reverify(pattern, g6, verdict, cap, node_budget)
+                verdict, plain = _scan_host(pattern, g, g6, cap, node_budget)
+                if plain is not None:
                     hits.append(g6)
-                    records.append((g6, "extremal " + verdict))
-                else:
-                    records.append((g6, "not-extremal " + verdict))
+                records.append((g6, verdict))
     return SearchReport(
         kind="vertex-transitive-extremal",
         params=_params(tail=d, n_max=n_max),
@@ -364,21 +367,13 @@ def scan_connected_extremal(d: int = 3, n_max: int = 7,
         for g in enum_graphs(n, connected_only=True):
             count += 1
             g6 = emit_graph6(g)
-            if not footprints_of(pattern, g, cap).footprints:
-                records.append((g6, "no-copies"))
-                continue
-            report = extremality_report(pattern, g, cap, node_budget)
-            verdict = _verdict(report.plain, report.invariant)
-            if not report.is_extremal:
-                records.append((g6, "not-extremal " + verdict))
-                continue
-            _reverify(pattern, g6, verdict, cap, node_budget)
-            hits.append(g6)
-            if report.plain.value > 1:
-                violations.append(g6)
-                records.append((g6, "extremal-wide " + verdict))
-            else:
-                records.append((g6, "extremal " + verdict))
+            verdict, plain = _scan_host(pattern, g, g6, cap, node_budget)
+            if plain is not None:
+                hits.append(g6)
+                if plain > 1:
+                    violations.append(g6)
+                    verdict = verdict.replace("extremal", "extremal-wide", 1)
+            records.append((g6, verdict))
     if hits:
         note = (f"{len(hits)} extremal hit(s); "
                 f"{len(violations)} with plain cover above 1")

@@ -10,8 +10,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import circulant, cube, petersen, prism, random_connected_graph
+from conftest import (circulant, cube, petersen, prism,
+                      random_connected_graph, relabelled)
 from symcover.checks import (
+    _orbits_holding_a_footprint,
     build_pair_weight,
     check_extremal_boundary,
     check_orbit_density,
@@ -24,14 +26,14 @@ from symcover.checks import (
     weighted_symmetrize,
     WeightFunction,
 )
-from symcover.copies import footprints_of
+from symcover.copies import contains_copy, footprints_of
 from symcover.covers import vertex_representativity
 from symcover.errors import (
     NotAHittingSetError,
     PreconditionError,
     WeightConstructionError,
 )
-from symcover.graphs import Graph, disjoint_union, generate
+from symcover.graphs import Graph, disjoint_union, generate, induced_subgraph
 from symcover.symmetry import automorphisms, orbits
 
 
@@ -183,6 +185,53 @@ class TestOrbitContainment:
         pre = dict(report.preconditions)
         assert pre["host_connected"] is False
         assert not report.applicable
+
+
+def _random_orbit_host(rng: random.Random) -> Graph:
+    """A host on 4..10 vertices, randomly relabelled: G(n, p) (mostly
+    singleton orbits), a circulant (one orbit), or two copies of a random
+    graph, joined vertex to twin or not (orbits of two or more)."""
+    n = rng.randint(4, 10)
+    kind = rng.randrange(3)
+    if kind == 0:
+        p = rng.random()
+        g = Graph(n, [e for e in combinations(range(n), 2)
+                      if rng.random() < p])
+    elif kind == 1:
+        steps = range(1, n // 2 + 1)
+        g = circulant(n, tuple(rng.sample(steps, rng.randint(1, len(steps)))))
+    else:
+        half = n // 2
+        h = Graph(half, [e for e in combinations(range(half), 2)
+                         if rng.random() < 0.6])
+        g = disjoint_union(h, h)
+        if rng.random() < 0.5:
+            g = Graph(g.n, list(g.edges())
+                      + [(v, v + half) for v in range(half)])
+    return relabelled(g, rng)[0]
+
+
+class TestOrbitCopyTest:
+    def test_agrees_with_the_matcher_on_each_orbit(self):
+        # the oracle runs the matcher on every orbit's induced subgraph,
+        # including orbits that hold no copy, which no check reaches
+        rng = random.Random(9)
+        patterns = [generate(spec) for spec in ("path:3", "path:4", "cycle:4",
+                                                "complete:3", "tailed-star:3")]
+        seen = {True: 0, False: 0}
+        for _ in range(150):
+            host = _random_orbit_host(rng)
+            part = orbits(host)
+            for pattern in patterns:
+                held = _orbits_holding_a_footprint(
+                    part, footprints_of(pattern, host).masks())
+                for oid, orbit in enumerate(part.orbits):
+                    want = contains_copy(pattern,
+                                         induced_subgraph(host, orbit))
+                    assert (oid in held) == want, (host.edges(), pattern, oid)
+                    if len(orbit) >= pattern.n:
+                        seen[want] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestNeighborhoodProfile:

@@ -8,8 +8,8 @@ import re
 import pytest
 
 from conftest import circulant, petersen
-from symcover.cli import main
-from symcover.graphs import Graph, emit_graph6, generate
+from symcover.cli import _load_graph, main
+from symcover.graphs import _UNARY_KINDS, Graph, emit_graph6, generate
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -314,3 +314,37 @@ class TestUsage:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_every_family_generate_accepts_loads(self):
+        for spec in (*(f"{kind}:4" for kind in _UNARY_KINDS),
+                     "union:path:2+cycle:3"):
+            assert _load_graph(spec) == generate(spec), spec
+
+
+# the subcommands that enumerate no footprints and search no covers
+UNBOUNDED = (
+    ("gen", "complete:5"),
+    ("info", "complete:5"),
+    ("check", "neighborhood", "complete:5"),
+    ("check", "expansion", "--host", "path:3", "--orbit-a", "1",
+     "--orbit-b", "0,2", "--source", "1"),
+    ("symmetrize", "--host", "complete:5", "--set", "0", "--max-weight", "5"),
+    ("search", "dense", "--max-n", "6"),
+)
+
+
+class TestBoundsWhereRead:
+    @pytest.mark.parametrize("argv", UNBOUNDED, ids=lambda a: " ".join(a[:2]))
+    def test_bounds_are_usage_errors_elsewhere(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 0
+        for flag in ("--node-budget", "--footprint-cap"):
+            code, out, err = run(capsys, *argv, flag, "1")
+            assert code == 2 and "unrecognized arguments" in err, flag
+
+    def test_bad_env_values_ignored_where_unread(self, capsys, monkeypatch):
+        monkeypatch.setenv("SYMCOVER_NODE_BUDGET", "plenty")
+        monkeypatch.setenv("SYMCOVER_FOOTPRINT_CAP", "plenty")
+        for argv in (("gen", "complete:5"), ("info", "complete:5"),
+                     ("search", "dense", "--max-n", "6")):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == "", argv
