@@ -9,7 +9,8 @@ children already in that form, reaches every class exactly once; no
 isomorphism test between candidates is needed.  Each child is tested on
 its adjacency rows, and a Graph is built only for the children kept.
 Regular classes skip that test for children whose degree deficit the
-vertices still to come cannot fill (degree-bounded orderly generation).
+vertices still to come cannot fill (degree-bounded orderly generation), or
+whose next vertex could take no column.
 Classes are listed in graph6 order, so reports are byte-identical across
 runs.  Scan results are line-oriented records (canonical graph6 plus
 verdict) with a summary document on top; anything appended to a
@@ -142,17 +143,31 @@ def _extend(parents, lo: int, hi: int,
     first one, p.  The deficit of positions 0..p, less the new edge at p,
     must cover rest: the column may hold no position before the first whose
     prefix deficit exceeds rest.
+
+    With rest >= 1, two more cuts look at the next vertex: its column must
+    be at least the new one doubled, and may hold only positions still below
+    hi.  Third, the largest column it can take is the child's deficient mask
+    (the parent's positions below hi, less those one short that the new
+    column fills, then the new vertex); the child is dropped when that mask
+    is below the new column doubled.  With rest = 1 the window forces D = hi,
+    so the last column can only be that mask and the cut is exact.  Fourth,
+    with rest = 2, the two columns to come, cut to the child's positions,
+    both hold S2, the positions two short, and split S1, those one short,
+    evenly, as both vertices reach hi and share at most one edge.  The later
+    column is the larger, so it holds S1's highest position, and the next
+    one is at most S2 plus the |S1|/2 highest positions of S1 below its
+    highest.
     """
     out = []
     for parent in parents:
         m = parent.n
         floor = column_bits(parent.rows[-1], m - 1) << 1 if m else 0
-        forced = room = 0
+        short = [0] * (hi + 4)  # short[d]: the positions d below hi
         for u, row in enumerate(parent.rows):
-            if row.bit_count() < lo:
-                forced |= 1 << (m - 1 - u)
-            elif row.bit_count() < hi:
-                room |= 1 << (m - 1 - u)
+            short[hi - row.bit_count()] |= 1 << (m - 1 - u)
+        forced = sum(short[hi - lo + 1:])
+        room = sum(short[1:hi - lo + 1])
+        deficient = forced | room
         least, most = lo, hi
         if rest is not None:
             prefix = [0, *accumulate(hi - row.bit_count()
@@ -167,7 +182,8 @@ def _extend(parents, lo: int, hi: int,
         sub = room
         while forced | sub >= floor:
             col = forced | sub
-            if least <= col.bit_count() <= most:
+            if least <= col.bit_count() <= most and (not rest or (
+                    _next_column_fits(col, hi, rest, deficient, short))):
                 rows = [*parent.rows, 0]
                 for b in bits_of(col):
                     rows[m - 1 - b] |= 1 << m
@@ -179,6 +195,22 @@ def _extend(parents, lo: int, hi: int,
                 break
             sub = (sub - 1) & room
     return out
+
+
+def _next_column_fits(col: int, hi: int, rest: int, deficient: int,
+                      short: list[int]) -> bool:
+    """The third and fourth cuts of _extend for a child whose last column
+    is ``col``; ``short[d]`` holds the parent's positions d below hi."""
+    if deficient & ~(col & short[1]) < col:
+        return False
+    if rest != 2:
+        return True
+    pc = col.bit_count()
+    s1 = ((short[1] & ~col) | (short[2] & col)) << 1 | (pc == hi - 1)
+    s2 = ((short[2] & ~col) | (short[3] & col)) << 1 | (pc == hi - 2)
+    for _ in range(s1.bit_count() // 2 - 1):
+        s1 &= s1 - 1  # keep the |S1|/2 + 1 highest
+    return s2 | (s1 ^ (1 << s1.bit_length() >> 1)) >= col << 1
 
 
 @lru_cache(maxsize=None)

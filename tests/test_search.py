@@ -24,22 +24,16 @@ from symcover.search import (
 # isomorphism class counts on n unlabeled vertices
 ALL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-# (n, k) -> number of k-regular graphs on n vertices
+# (n, k) -> number of k-regular graphs on n vertices, every k < n <= 10
+# (A051031); above n / 2 through the complement of the direct lists
 REGULAR_COUNTS = {
-    (4, 3): 1, (6, 3): 2, (8, 3): 6, (10, 3): 21,
-    (5, 4): 1, (6, 4): 1, (7, 4): 2, (8, 4): 6, (9, 4): 16,
-    (6, 5): 1, (8, 5): 3,
-    (8, 6): 1, (9, 6): 4,
-    (5, 2): 1, (6, 2): 2, (7, 2): 2, (8, 2): 3, (10, 2): 5,
-    (10, 4): 60,
-}
-# every n <= 10 at k <= 2, where the lower end of the degree-deficit window
-# stays negative until the last levels: one 0-regular class, one 1-regular
-# class for even n, and A008483 for k = 2
-REGULAR_COUNTS.update(
-    {(n, k): count
-     for n, two in enumerate((0, 0, 1, 1, 1, 2, 2, 3, 4, 5), start=1)
-     for k, count in ((0, 1), (1, (n + 1) % 2), (2, two))})
+    (n, k): count
+    for n, row in enumerate((
+        (1,), (1, 1), (1, 0, 1), (1, 1, 1, 1), (1, 0, 1, 0, 1),
+        (1, 1, 2, 2, 1, 1), (1, 0, 2, 0, 2, 0, 1),
+        (1, 1, 3, 6, 6, 3, 1, 1), (1, 0, 4, 0, 16, 0, 4, 0, 1),
+        (1, 1, 5, 21, 60, 60, 21, 5, 1, 1)), start=1)
+    for k, count in enumerate(row)}
 
 
 class TestEnumeration:
@@ -78,7 +72,9 @@ class TestEnumeration:
     def test_infeasible_children_skip_the_canonicity_test(self, monkeypatch):
         # without the degree-feasibility cuts 5,284 and 2,159 children reach
         # the test; the popcount window alone leaves 3,123 and 1,206, the
-        # first-neighbour cut alone 3,225 and 1,148, and both 1,765 and 485
+        # first-neighbour cut alone 3,225 and 1,148, and both 1,765 and 485;
+        # the next-column cut brings them to 801 and 297 (1,147 and 362
+        # without its rest = 2 case)
         calls = 0
         lex_min_order = symcover.search.lex_min_order
 
@@ -88,7 +84,7 @@ class TestEnumeration:
             return lex_min_order(*args, **kwargs)
 
         monkeypatch.setattr(symcover.search, "lex_min_order", counted)
-        for k, most in ((4, 1800), (3, 500)):
+        for k, most in ((4, 850), (3, 320)):
             calls = 0
             symcover.search._regular_graphs.__wrapped__(10, k)
             assert calls <= most, (k, calls)
