@@ -24,8 +24,9 @@ from symcover.search import (
 # isomorphism class counts on n unlabeled vertices
 ALL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-# (n, k) -> number of k-regular graphs on n vertices, every k < n <= 10
-# (A051031); above n / 2 through the complement of the direct lists
+# (n, k) -> number of k-regular graphs on n vertices: every k < n <= 10
+# (A051031; above n / 2 through the complement of the direct lists), and
+# the empty cases k = n for n <= 2 and k = 2 > n = 1
 REGULAR_COUNTS = {
     (n, k): count
     for n, row in enumerate((
@@ -34,6 +35,7 @@ REGULAR_COUNTS = {
         (1, 1, 3, 6, 6, 3, 1, 1), (1, 0, 4, 0, 16, 0, 4, 0, 1),
         (1, 1, 5, 21, 60, 60, 21, 5, 1, 1)), start=1)
     for k, count in enumerate(row)}
+REGULAR_COUNTS.update({(1, 1): 0, (1, 2): 0, (2, 2): 0})
 
 
 class TestEnumeration:
