@@ -608,10 +608,13 @@ class WeightSystemReport:
 
 
 def verify_weighted_system(marked, functions) -> WeightSystemReport:
+    """Raises PreconditionError when a marked vertex lies outside the graph
+    of a function, rather than reporting weight 0 for it."""
     marked = sorted(set(marked))
     sums = []
     first = None
     for idx, fn in enumerate(functions):
+        _as_mask(marked, fn.graph.n, "marked set")
         total = sum((fn.value(v) for v in marked), Fraction(0))
         sums.append(total)
         if total < 1 and first is None:

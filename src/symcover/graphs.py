@@ -10,9 +10,8 @@ for desk scale without any compiled dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import FamilySpecError, GraphParseError
+from .errors import FamilySpecError, GraphParseError, ResourceLimitError
 
 __all__ = [
     "Graph",
@@ -30,7 +29,6 @@ __all__ = [
     "basic_predicates",
     "canonical_form",
     "canonical_graph",
-    "is_isomorphic",
 ]
 
 
@@ -424,6 +422,11 @@ def column_bits(row: int, j: int) -> int:
     return c
 
 
+# search nodes per lex_min_order call: 26x the most one call of the
+# enumerations up to 12 vertices needs (3,793, in the (12, 4)-regular one)
+LEX_MIN_BUDGET = 100_000
+
+
 def lex_min_order(n: int, rows,
                   first_only: bool = False) -> tuple[int, ...] | None:
     """Vertex ordering of the graph with adjacency ``rows`` whose
@@ -441,15 +444,31 @@ def lex_min_order(n: int, rows,
     the incumbent's cuts u, and a smaller one becomes the incumbent's, with
     the columns after it reset to a bound no column reaches.  With
     ``first_only`` the search instead returns None at the first smaller
-    column, and the identity when there is none.  Unbudgeted: fast at the
-    enumeration sizes (n up to 12), slow on large symmetric graphs.
+    column, and the identity when there is none.
+
+    Columns 1..j can all be zero only when the first j vertices are
+    independent, and more leading zero columns make a smaller string, so
+    every lex-min labelling opens with a maximum independent set: the
+    search solves that NP-hard problem on the way.  It is fast at the
+    enumeration sizes (n up to 12) and exponential on large sparse
+    symmetric graphs, so it stops with ResourceLimitError after
+    ``LEX_MIN_BUDGET`` nodes, naming how many columns the incumbent's
+    prefix holds.
     """
     best = [column_bits(rows[j], j) for j in range(n)]
     best_order = tuple(range(n))
     placed: list[int] = []
+    nodes = 0
 
     def dfs(cells: list[tuple[int, int]]) -> bool:
-        nonlocal best_order
+        nonlocal best_order, nodes
+        nodes += 1
+        if nodes > LEX_MIN_BUDGET:
+            prefix = sum(c < 1 << n for c in best)
+            raise ResourceLimitError(
+                f"lex-min search exceeded its budget of {LEX_MIN_BUDGET} "
+                f"nodes; the incumbent prefix holds {prefix} of {n} columns",
+                limit=LEX_MIN_BUDGET)
         j = len(placed) + 1
         c, first = cells[0]
         tried: list[int] = []
@@ -500,11 +519,6 @@ def lex_min_order(n: int, rows,
     return None if n and dfs([(0, (1 << n) - 1)]) else best_order
 
 
-def _canonical_order(g: Graph) -> tuple[int, ...]:
-    """The lex-min vertex ordering of g."""
-    return lex_min_order(g.n, g.rows)
-
-
 def is_lex_min_labelled(g: Graph) -> bool:
     """Whether g is its own canonical representative.  Uncached and stopped
     at the first better prefix, so orderly generation can test every
@@ -512,10 +526,9 @@ def is_lex_min_labelled(g: Graph) -> bool:
     return lex_min_order(g.n, g.rows, first_only=True) is not None
 
 
-@lru_cache(maxsize=1 << 16)
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class."""
-    order = _canonical_order(g)
+    order = lex_min_order(g.n, g.rows)
     perm = [0] * g.n
     for pos, v in enumerate(order):
         perm[v] = pos
@@ -526,13 +539,8 @@ def canonical_form(g: Graph) -> str:
     """Canonical label: the graph6 string of the canonical representative.
 
     Two graphs are isomorphic exactly when their canonical forms are equal.
+    The label costs a maximum independent set (see ``lex_min_order``), so
+    on large sparse graphs this raises ResourceLimitError at the search
+    budget; ``symmetry.is_isomorphic`` decides isomorphism without it.
     """
     return emit_graph6(canonical_graph(g))
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    return canonical_form(g) == canonical_form(h)

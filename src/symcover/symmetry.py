@@ -1,4 +1,4 @@
-"""Automorphism groups, vertex orbits, and transitivity tests.
+"""Automorphism groups, vertex orbits, transitivity and isomorphism tests.
 
 Permutations are tuples ``p`` with ``p[v]`` the image of vertex v.  The
 group is computed as a stabilizer chain whose base b_0, b_1, ... is the
@@ -30,6 +30,7 @@ __all__ = [
     "automorphisms",
     "orbits",
     "is_vertex_transitive",
+    "is_isomorphic",
     "ORDER_CAP",
     "ELEMENT_CAP",
     "VERTEX_CAP",
@@ -100,6 +101,26 @@ class AutomorphismGroup:
         return self._elements
 
 
+def _color_search(g: Graph, colors, host_colors):
+    """g's match order, back edges, and per position the host color mask."""
+    masks: dict[int, int] = {}
+    for x, col in enumerate(host_colors):
+        masks[col] = masks.get(col, 0) | 1 << x
+    order = _match_order(g)
+    return order, _back_edges(g, order), [masks[colors[v]] for v in order]
+
+
+def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """One embedding search of g into h that keeps each vertex in its
+    ``refine_colors`` class, whose numbering is labelling-invariant.  With
+    equal edge counts an injective edge-preserving map is an isomorphism."""
+    colors, host_colors = refine_colors(g), refine_colors(h)
+    if g.edge_count != h.edge_count or sorted(colors) != sorted(host_colors):
+        return False
+    _, back, elig = _color_search(g, colors, host_colors)
+    return _embed(h.rows, back, elig, lambda used, images: True)
+
+
 @lru_cache(maxsize=4096)
 def _automorphism_group(g: Graph) -> AutomorphismGroup:
     """The whole group, uncapped: orbits need only its generators."""
@@ -109,15 +130,9 @@ def _automorphism_group(g: Graph) -> AutomorphismGroup:
             f"automorphism engine supports at most {VERTEX_CAP} vertices, "
             f"got {n}", limit=VERTEX_CAP)
     colors = refine_colors(g)
-    color_masks: dict[int, int] = {}
-    for v, col in enumerate(colors):
-        color_masks[col] = color_masks.get(col, 0) | 1 << v
     rows = g.rows
-    order = _match_order(g)
-    back = _back_edges(g, order)
-    # eligible images per match position; the base is the match order, so
-    # the pinned vertices are a prefix of it
-    elig = [color_masks[colors[v]] for v in order]
+    # the base is the match order, so the pinned vertices are a prefix of it
+    order, back, elig = _color_search(g, colors, colors)
     found = []
 
     def leaf(used: int, images) -> bool:

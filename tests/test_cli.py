@@ -230,6 +230,15 @@ class TestChecks:
         assert code == 1
         assert doc["verification"]["holds"] is False
 
+    def test_weights_out_of_range_set_exits_2(self, capsys):
+        # invalid input, not a failed property: no sum may be reported
+        code, out, err = run(capsys, "check", "weights", "--host",
+                             "g6:GUzvrw", "--pair", "0,4", "--tail", "3",
+                             "--set", "99,-5")
+        assert code == 2
+        assert out == ""
+        assert "outside 0..7" in err
+
 
 class TestSymmetrize:
     def test_transitive_host(self, capsys):

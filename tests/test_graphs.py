@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cube, relabelled
+from conftest import circulant, cube, hypercube, kneser, paley, relabelled
 from oracles import brute_canonical_edges
-from symcover.errors import FamilySpecError, GraphParseError
+from symcover.errors import (FamilySpecError, GraphParseError,
+                             ResourceLimitError)
 from symcover.graphs import (
     Graph,
     basic_predicates,
@@ -22,7 +24,6 @@ from symcover.graphs import (
     has_pendant_vertex,
     induced_subgraph,
     is_connected,
-    is_isomorphic,
     is_lex_min_labelled,
     is_regular,
     parse_edge_list,
@@ -30,6 +31,7 @@ from symcover.graphs import (
     parse_graph6,
 )
 from symcover.search import enum_graphs
+from symcover.symmetry import is_isomorphic
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
@@ -259,6 +261,12 @@ class TestCanonical:
         assert prism6.degree_sequence() == k33.degree_sequence()
         assert canonical_form(prism6) != canonical_form(k33)
 
+    def test_budget_stops_large_sparse_hosts(self):
+        # the lex-min form opens with a maximum independent set of C(64;1,7)
+        with pytest.raises(ResourceLimitError, match="budget") as stop:
+            canonical_form(circulant(64, (1, 7)))
+        assert "incumbent prefix" in str(stop.value)
+
 
 class TestIsomorphism:
     def test_cocktail_4_is_the_4_cycle(self):
@@ -277,3 +285,29 @@ class TestIsomorphism:
             perm = list(range(7))
             rng.shuffle(perm)
             assert is_isomorphic(g, g.relabel(perm))
+
+    def test_agrees_with_canonical_forms_on_every_class_up_to_7(self):
+        # each class against a relabelling of itself and of its neighbour
+        # in degree-sequence order: 759 of those 1,252 neighbour pairs share
+        # a degree sequence, and 128 also pass the color filter
+        rng = random.Random(29)
+        classes = sorted((g for n in range(1, 8) for g in enum_graphs(n)),
+                         key=lambda g: (g.n, g.degree_sequence()))
+        assert len(classes) == 1252
+        for g, neighbour in zip(classes, classes[1:] + classes[:1]):
+            for h in (g, neighbour):
+                h = relabelled(h, rng)[0]
+                same = canonical_form(g) == canonical_form(h)
+                assert is_isomorphic(g, h) == same, (g, h)
+
+    def test_relabelled_large_hosts_within_a_second(self):
+        rng = random.Random(31)
+        hosts = [circulant(64, (1, 7)), hypercube(6), kneser(8, 3),
+                 paley(29), random_graph(rng, 60, 0.1)]
+        pairs = [(g, relabelled(g, rng)[0], True) for g in hosts]
+        # one color class each, so only the embedding search tells apart
+        pairs.append((circulant(64, (1, 7)), circulant(64, (1, 3)), False))
+        for g, h, want in pairs:
+            start = time.perf_counter()
+            assert is_isomorphic(g, h) is want, g
+            assert time.perf_counter() - start < 1.0, g
