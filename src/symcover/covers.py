@@ -8,10 +8,18 @@ with certified optimality; ties are broken toward the lexicographically
 smallest witness.  The search indexes the sets by bit, so a node is a mask
 of live set indices plus a mask of banned units.  The witness comes from a
 scan over units that searches only outside the optimal cover it holds.
+
+``extremality_report`` solves the invariant cover only on a host with a
+nontrivial group.  When the group is trivial every orbit is a single
+vertex, numbered by that vertex since orbits are numbered by their
+smallest member, and costs 1.  The orbit cover is then the identical
+search over the identical sets, so the report takes the plain solution
+as the invariant one, with the witness as its orbit ids.  It asks for the
+orbits only once the family holds a footprint.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -335,7 +343,12 @@ def extremality_report(pattern: Graph, host: Graph,
                        node_budget: int = NODE_BUDGET) -> ExtremalityReport:
     """Both covers and the extremality verdict, solved once: checks and
     scans read this memoized report.  The cache is keyed positionally, so
-    calls that leave defaults out share an entry with calls that pass them."""
+    calls that leave defaults out share an entry with calls that pass them.
+
+    On a host with a trivial automorphism group the invariant cover is the
+    plain one, found by the same search (value, witness and node count),
+    with ``orbit_ids`` equal to the witness; only a nonempty footprint
+    family reads the host's orbits."""
     return _extremality_cached(pattern, host, cap, node_budget)
 
 
@@ -343,8 +356,12 @@ def extremality_report(pattern: Graph, host: Graph,
 def _extremality_cached(pattern: Graph, host: Graph, cap: int,
                         node_budget: int) -> ExtremalityReport:
     plain = vertex_representativity(pattern, host, cap, node_budget)
-    invariant = symmetric_vertex_representativity(pattern, host, cap,
-                                                  node_budget)
+    # a family without footprints needs no orbits, which may be out of reach
+    if plain.value and orbits(host).group_order == 1:
+        invariant = replace(plain, orbit_ids=plain.witness)
+    else:
+        invariant = symmetric_vertex_representativity(pattern, host, cap,
+                                                      node_budget)
     m = pattern.n
     if not (0 <= plain.value <= invariant.value <= m * plain.value):
         raise VerificationError(

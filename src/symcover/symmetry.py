@@ -8,12 +8,16 @@ one witness permutation per image.  The group order is then the product of
 the transversal sizes, which stays exact even when the group is far too
 large to enumerate.
 
-Each witness comes from the backtracking embedding search of ``copies``,
-run with the graph as both pattern and host: b_0..b_{t-1} may map only to
+Witnesses come from the backtracking embedding search of ``copies``, run
+with the graph as both pattern and host: b_0..b_{t-1} may map only to
 themselves and b_t only to its candidate image, so the pinned vertices are
 the first ones placed; every other vertex maps into its ``refine_colors``
 class.  The search checks edges alone, which is enough, since an
 edge-preserving bijection of a finite graph onto itself is an automorphism.
+Each level closes the orbit of b_t under the witnesses it has searched
+(Schreier-Sims orbit closure, Sims 1970): an image they already reach gets
+a composed witness, which fixes the prefix too, and no search.  The
+group's generators are the searched witnesses of every level.
 """
 from __future__ import annotations
 
@@ -41,12 +45,12 @@ ELEMENT_CAP = 10**6
 VERTEX_CAP = 64
 
 
-def refine_colors(g: Graph, seed=None) -> tuple[int, ...]:
-    """Equitable vertex coloring: start from degrees (or a seed coloring) and
-    split classes by the multiset of neighbor colors until stable.  The
-    numbering depends only on the isomorphism class, not the labeling."""
+def refine_colors(g: Graph) -> tuple[int, ...]:
+    """Equitable vertex coloring: start from degrees and split classes by
+    the multiset of neighbor colors until stable.  The numbering depends
+    only on the isomorphism class, not the labeling."""
     n = g.n
-    colors = list(seed) if seed is not None else [g.degree(v) for v in range(n)]
+    colors = [g.degree(v) for v in range(n)]
     while True:
         sigs = [
             (colors[v], tuple(sorted(colors[u] for u in bits_of(g.rows[v]))))
@@ -61,7 +65,9 @@ def refine_colors(g: Graph, seed=None) -> tuple[int, ...]:
 
 class AutomorphismGroup:
     """Automorphism group of a graph: exact order, generators, and (for
-    small groups) the full element list."""
+    small groups) the full element list.  Level t of the transversals
+    holds, for each image of the base point b_t, one witness that carries
+    b_t there and fixes b_0..b_{t-1}, with None for b_t itself."""
 
     def __init__(self, n: int, order: int, generators, transversals):
         self.n = n
@@ -86,7 +92,7 @@ class AutomorphismGroup:
                 if level == len(self._transversals):
                     out.append(acc)
                     return
-                for _, w in self._transversals[level]:
+                for w in self._transversals[level]:
                     if w is None:
                         rec(level + 1, acc)
                     else:
@@ -123,7 +129,14 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 @lru_cache(maxsize=4096)
 def _automorphism_group(g: Graph) -> AutomorphismGroup:
-    """The whole group, uncapped: orbits need only its generators."""
+    """The whole group, uncapped: orbits need only its generators.
+
+    Level t runs one pinned search per candidate image of b_t that the
+    level's searched witnesses do not yet reach, and adds each witness it
+    finds to the generators.  The searched witnesses of level t move b_t
+    across its whole orbit under the stabilizer of the prefix, so with
+    the deeper levels' they generate that stabilizer, and those of all
+    levels generate the group."""
     n = g.n
     if n > VERTEX_CAP:
         raise ResourceLimitError(
@@ -147,22 +160,39 @@ def _automorphism_group(g: Graph) -> AutomorphismGroup:
     size = 1
     fixed = 0
     for t, i in enumerate(order):
-        level = [(i, None)]
+        level = {i: None}  # image of i -> a witness carrying i there
+        searched = []
         for c in bits_of(elig[t] & ~fixed & ~(1 << i)):
             # c must look exactly like i toward the fixed prefix
-            if rows[c] & fixed != rows[i] & fixed:
+            if c in level or rows[c] & fixed != rows[i] & fixed:
                 continue
             pinned = elig.copy()
             pinned[t] = 1 << c
             if _embed(rows, back, pinned, leaf):
-                w = found.pop()
-                level.append((c, w))
-                generators.append(w)
-        transversals.append(level)
+                searched.append(found.pop())
+                _close_orbit(level, searched)
+        transversals.append(tuple(level.values()))
+        generators += searched
         size *= len(level)
         elig[t] = 1 << i
         fixed |= 1 << i
     return AutomorphismGroup(n, size, tuple(generators), transversals)
+
+
+def _close_orbit(reached: dict, gens) -> None:
+    """Extend ``reached``, a map from points to witnesses carrying the base
+    point there (None for the base point itself), to its orbit under
+    ``gens``: when w carries it to p, the composition s∘w carries it to
+    s[p]."""
+    queue = list(reached)
+    while queue:
+        p = queue.pop()
+        w = reached[p]
+        for s in gens:
+            q = s[p]
+            if q not in reached:
+                reached[q] = s if w is None else tuple(map(s.__getitem__, w))
+                queue.append(q)
 
 
 def automorphisms(g: Graph, order_cap: int = ORDER_CAP) -> AutomorphismGroup:

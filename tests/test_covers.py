@@ -15,19 +15,25 @@ from oracles import (
     brute_min_weighted_hitting,
     brute_orbits,
 )
-from symcover.copies import FOOTPRINT_CAP, CopyFamily, footprints_of
+import symcover.covers
+from symcover.copies import (FOOTPRINT_CAP, CopyFamily, contains_copy,
+                             enumerate_footprints, footprints_of)
 from symcover.covers import (
     NODE_BUDGET,
     CoverSolution,
     _CoverSearch,
+    _extremality_cached,
     _solve_cover,
     extremality_report,
     min_hitting_set,
+    min_orbit_cover,
     symmetric_vertex_representativity,
     vertex_representativity,
 )
 from symcover.errors import ResourceLimitError
 from symcover.graphs import Graph, bits_of, disjoint_union, generate
+from symcover.search import enum_graphs
+from symcover.symmetry import automorphisms, uncached_orbits
 
 
 PATTERNS = [generate("complete:3"), generate("path:3"),
@@ -225,6 +231,14 @@ class TestExtremalityReport:
         assert report.is_extremal
         assert not report.is_expensive_instance
 
+    def test_no_copies_reads_no_orbits(self):
+        # C70 is above the automorphism engine's vertex cap
+        host = generate("cycle:70")
+        with pytest.raises(ResourceLimitError):
+            uncached_orbits(host)
+        report = extremality_report(generate("complete:3"), host)
+        assert report.plain.value == report.invariant.value == 0
+
     def test_memo_keys_on_values_not_call_form(self):
         pattern, host = generate("complete:3"), generate("complete:9")
         report = extremality_report(pattern, host)
@@ -256,3 +270,46 @@ class TestExtremalityReport:
         assert report.invariant.value <= m * report.plain.value
         assert report.is_extremal == (
             report.invariant.value == m * report.plain.value)
+
+
+class TestTrivialGroupRule:
+    """On a host with a trivial group the report takes the invariant cover
+    from the plain one instead of solving it again."""
+
+    @staticmethod
+    def asymmetric(graphs):
+        pattern = generate("tailed-star:3")
+        return [g for g in graphs
+                if automorphisms(g).order == 1 and contains_copy(pattern, g)]
+
+    def test_matches_the_orbit_cover(self, monkeypatch):
+        pattern = generate("tailed-star:3")
+        searches = []
+        solve = symcover.covers.symmetric_vertex_representativity
+
+        def counting(*args):
+            searches.append(args[1])
+            return solve(*args)
+
+        monkeypatch.setattr(symcover.covers,
+                            "symmetric_vertex_representativity", counting)
+        small = self.asymmetric(g for n in (5, 6, 7)
+                                for g in enum_graphs(n, connected_only=True))
+        rng = random.Random(61)
+        drawn = self.asymmetric(
+            random_connected_graph(rng, rng.randrange(10, 16))
+            for _ in range(8))
+        assert (len(small), len(drawn)) == (152, 7)
+        for host in small + drawn:
+            want = min_orbit_cover(enumerate_footprints(pattern, host),
+                                   uncached_orbits(host))
+            # past the report's memo, so the rule runs on every host
+            report = _extremality_cached.__wrapped__(
+                pattern, host, FOOTPRINT_CAP, NODE_BUDGET)
+            assert report.invariant == want
+            assert report.invariant.orbit_ids == report.plain.witness
+        assert searches == []
+        symmetric = generate("cycle:6")
+        _extremality_cached.__wrapped__(generate("path:3"), symmetric,
+                                        FOOTPRINT_CAP, NODE_BUDGET)
+        assert searches == [symmetric]

@@ -7,9 +7,11 @@ from itertools import combinations
 
 import pytest
 
+import symcover.symmetry
 from conftest import (circulant, cube, hypercube, kneser, paley, petersen,
                       prism, random_cubic, relabelled)
 from oracles import brute_automorphisms, brute_orbits
+from symcover.copies import _match_order
 from symcover.errors import ResourceLimitError
 from symcover.graphs import Graph, disjoint_union, generate
 from symcover.symmetry import (
@@ -63,7 +65,10 @@ class TestGroupOrder:
 
 class TestElements:
     def test_elements_are_exactly_the_automorphisms(self):
-        for g in (generate("cycle:5"), generate("tailed-star:3"), prism()):
+        # the last four have transversals that hold composed witnesses
+        k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        for g in (generate("cycle:5"), generate("tailed-star:3"), prism(),
+                  cube(), k33, generate("cycle:8"), circulant(8, (1, 2))):
             group = automorphisms(g)
             elems = group.elements()
             assert len(elems) == group.order
@@ -85,6 +90,25 @@ class TestElements:
             group = automorphisms(g)
             assert group.order == orbits(g).group_order == order
             assert all(is_automorphism(g, p) for p in group.generators)
+
+    def test_reached_images_are_not_searched(self, monkeypatch):
+        # every vertex of C(20;1,3) is an image of the first base point,
+        # but the first witnesses found already reach most of them
+        g, _ = relabelled(circulant(20, (1, 3)), random.Random(5))
+        base = 1 << _match_order(g)[0]
+        level0 = []
+        embed = symcover.symmetry._embed
+
+        def counting(hrows, back, elig, leaf):
+            if elig[0] != base:
+                level0.append(elig[0])
+            return embed(hrows, back, elig, leaf)
+
+        monkeypatch.setattr(symcover.symmetry, "_embed", counting)
+        group = symcover.symmetry._automorphism_group.__wrapped__(g)
+        assert group.order == 40
+        assert 0 < len(level0) < g.n - 1
+        assert all(is_automorphism(g, p) for p in group.generators)
 
     def test_element_cap_enforced(self):
         group = automorphisms(generate("complete:6"))
