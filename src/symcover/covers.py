@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .copies import CopyFamily, footprints_of, FOOTPRINT_CAP
-from .errors import ResourceLimitError, VerificationError
+from .errors import (PreconditionError, ResourceLimitError,
+                     VerificationError)
 from .graphs import Graph, bits_of
 from .symmetry import OrbitPartition, orbits
 
@@ -71,12 +72,22 @@ class _CoverSearch:
     takes the live set with the fewest available units (the lowest index
     among ties) and tries each of them in ascending order, banning the
     units already tried in later branches so the search space partitions.
-    No ban can leave a live set without available units, so none is
-    checked for.  The lower bound packs pairwise disjoint live sets,
-    lowest index first, each pick dropping the sets in ``meet[i]``; the
-    optimum search starts from the greedy maximum-coverage incumbent and
-    returns the unit mask of the cheapest cover it meets, with its cost in
-    ``upper``.
+    No ban can leave a live set without available units: a branch bans
+    only units of the picked set tried before, fewer than that set has,
+    and a live set with only those would have had fewer still.
+
+    This is Knuth's fewest-candidates rule (*Dancing Links*, 2000).  The
+    scan over live sets runs in ascending index order and stops at the
+    first forced set, one with a single available unit.  No live set has
+    fewer, so that is the set a full scan picks, and the search tree
+    (value, witness and node count) is the one a full scan gives.  A live
+    set met with no available unit breaks the invariant the stop rests on
+    and raises ``VerificationError``.
+
+    The lower bound packs pairwise disjoint live sets, lowest index first,
+    each pick dropping the sets in ``meet[i]``; the optimum search starts
+    from the greedy maximum-coverage incumbent and returns the unit mask of
+    the cheapest cover it meets, with its cost in ``upper``.
 
     The lex-min witness pass scans units in ascending order and keeps each
     one that still allows an optimal completion from larger units.  It
@@ -172,6 +183,7 @@ class _CoverSearch:
         sets by units not banned, or None when there is none.  With
         ``first`` set, return the first such cover found."""
         sets, inc, costs = self.sets, self.inc, self.costs
+        most = len(inc) + 1  # more units than any set has
         best_cost, best = incumbent, None
 
         def dfs(live, banned, cost, chosen):
@@ -187,10 +199,19 @@ class _CoverSearch:
             stop = best_cost - cost
             if self._pack_bound(live, banned, stop) >= stop:
                 return False
-            b = min(bits_of(live),
-                    key=lambda i: (sets[i] & ~banned).bit_count())
+            fewest, free = most, ~banned
+            for i in bits_of(live):
+                k = (sets[i] & free).bit_count()
+                if k < fewest:
+                    b, fewest = i, k
+                    if k < 2:
+                        if not k:
+                            raise VerificationError(
+                                f"cover search met live set {i} with no "
+                                f"available unit")
+                        break  # forced: no live set has fewer units
             tried = 0
-            for u in bits_of(sets[b] & ~banned):
+            for u in bits_of(sets[b] & free):
                 # no live set runs dry: it would have had fewer units than b
                 if dfs(live & ~inc[u], banned | tried, cost + costs[u],
                        chosen | 1 << u):
@@ -245,7 +266,8 @@ def _solve_cover(set_masks, costs, budget):
     search = _CoverSearch(set_masks, costs, budget)
     cover = search.optimum()
     if cover is None:
-        raise ValueError("infeasible cover: some set has no available unit")
+        raise PreconditionError(
+            "infeasible cover: some set has no available unit")
     opt = search.upper
     return opt, search.lex_min_witness(opt, cover), search.nodes
 
@@ -256,7 +278,8 @@ def min_hitting_set(family: CopyFamily, n: int | None = None,
     if n is not None:
         for f in family.footprints:
             if f and not (0 <= f[0] and f[-1] < n):
-                raise ValueError(f"footprint {f} outside 0..{n - 1}")
+                raise PreconditionError(
+                    f"footprint {f} outside 0..{n - 1}")
     masks = family.masks()
     costs = {}
     for m in masks:

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import circulant, petersen, random_connected_graph
+from conftest import circulant, kneser, petersen, random_connected_graph
 from oracles import (
     brute_footprints,
     brute_min_hitting,
@@ -30,7 +30,8 @@ from symcover.covers import (
     symmetric_vertex_representativity,
     vertex_representativity,
 )
-from symcover.errors import ResourceLimitError
+from symcover.errors import (PreconditionError, ResourceLimitError,
+                             VerificationError)
 from symcover.graphs import Graph, bits_of, disjoint_union, generate
 from symcover.search import enum_graphs
 from symcover.symmetry import automorphisms, uncached_orbits
@@ -113,6 +114,24 @@ class TestMinHittingSet:
         family = CopyFamily(pattern_order=2,
                             footprints=((0, 1), (2, 3)))
         assert min_hitting_set(family).witness == (0, 2)
+
+    def test_footprint_outside_the_host_is_a_precondition(self):
+        family = CopyFamily(pattern_order=2, footprints=((0, 5),))
+        with pytest.raises(PreconditionError, match="outside 0..3"):
+            min_hitting_set(family, 4)
+
+    def test_empty_footprint_is_a_precondition(self):
+        family = CopyFamily(pattern_order=0, footprints=((),))
+        with pytest.raises(PreconditionError, match="infeasible"):
+            min_hitting_set(family)
+
+    def test_live_set_without_units_is_a_verification_error(self):
+        # set 0 is {0, 1}; banning both leaves it no unit to branch on,
+        # a state the fewest-units pick never reaches
+        search = _CoverSearch([0b011, 0b110], dict.fromkeys(range(3), 1),
+                              NODE_BUDGET)
+        with pytest.raises(VerificationError, match="live set 0"):
+            search._branch(search.all, 0b011, 10, first=False)
 
     def test_witness_pass_keeps_the_optimum_cover_without_search(self):
         # the optimum phase ends on the cover {0, 2}, which is lex-min
@@ -313,3 +332,53 @@ class TestTrivialGroupRule:
         _extremality_cached.__wrapped__(generate("path:3"), symmetric,
                                         FOOTPRINT_CAP, NODE_BUDGET)
         assert searches == [symmetric]
+
+
+def _rnd(seed, n):
+    return random_connected_graph(random.Random(seed), n)
+
+
+# The search tree is pinned: a change to the branching pick, the bound or
+# the witness pass that moves any of these values must edit this table.
+# Each row is (pattern, host, plain, invariant) with covers as
+# (value, witness, nodes_explored, orbit_ids).
+SEARCH_TREES = [
+    ("path:4", lambda: circulant(20, (1, 3)),
+     (8, (0, 2, 4, 6, 8, 12, 14, 16), 608, None),
+     (20, tuple(range(20)), 2, (0,))),
+    ("cycle:4", lambda: circulant(21, (1, 2, 5)),
+     (9, (0, 1, 4, 7, 8, 11, 14, 15, 18), 1634, None),
+     (21, tuple(range(21)), 2, (0,))),
+    ("complete:3", lambda: kneser(7, 2),
+     (10, (0, 1, 2, 3, 6, 7, 8, 11, 12, 15), 340, None),
+     (21, tuple(range(21)), 2, (0,))),
+    ("tailed-star:3", lambda: circulant(21, (1, 8)),
+     (7, (0, 3, 6, 9, 12, 15, 18), 874, None),
+     (21, tuple(range(21)), 2, (0,))),
+    # orbits of sizes 1 to 3, so the invariant search is weighted
+    ("path:4", lambda: generate("union:cycle:8+path:7+path:9"),
+     (5, (0, 4, 11, 16, 20), 31, None),
+     (11, (0, 1, 2, 3, 4, 5, 6, 7, 11, 17, 21), 24, (0, 4, 7))),
+    ("tailed-star:3", lambda: _rnd(3, 16),
+     (7, (0, 2, 3, 4, 5, 11, 15), 785, None),
+     (7, (0, 2, 3, 4, 5, 11, 15), 785, (0, 2, 3, 4, 5, 11, 15))),
+    ("path:4", lambda: _rnd(5, 18),
+     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 1097, None),
+     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 1097,
+      (0, 1, 4, 5, 6, 7, 9, 12, 14, 17))),
+    ("path:4", lambda: circulant(32, (1, 4)),
+     (15, (0, 1, 3, 5, 7, 10, 12, 13, 17, 18, 20, 23, 25, 27, 30), 51376,
+      None),
+     (32, tuple(range(32)), 2, (0,))),
+]
+
+
+@pytest.mark.parametrize(
+    "pattern, host, plain, invariant", SEARCH_TREES,
+    ids=["C20-1-3", "C21-1-2-5", "kneser-7-2", "C21-1-8", "union-costs",
+         "random-3-16", "random-5-18", "C32-1-4"])
+def test_search_tree_is_pinned(pattern, host, plain, invariant):
+    pattern, host = generate(pattern), host()
+    assert vertex_representativity(pattern, host) == CoverSolution(*plain)
+    assert symmetric_vertex_representativity(pattern, host) == (
+        CoverSolution(*invariant))
