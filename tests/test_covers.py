@@ -30,8 +30,7 @@ from symcover.covers import (
     symmetric_vertex_representativity,
     vertex_representativity,
 )
-from symcover.errors import (PreconditionError, ResourceLimitError,
-                             VerificationError)
+from symcover.errors import PreconditionError, ResourceLimitError
 from symcover.graphs import Graph, bits_of, disjoint_union, generate
 from symcover.search import enum_graphs
 from symcover.symmetry import automorphisms, uncached_orbits
@@ -125,13 +124,47 @@ class TestMinHittingSet:
         with pytest.raises(PreconditionError, match="infeasible"):
             min_hitting_set(family)
 
-    def test_live_set_without_units_is_a_verification_error(self):
-        # set 0 is {0, 1}; banning both leaves it no unit to branch on,
-        # a state the fewest-units pick never reaches
-        search = _CoverSearch([0b011, 0b110], dict.fromkeys(range(3), 1),
-                              NODE_BUDGET)
-        with pytest.raises(VerificationError, match="live set 0"):
-            search._branch(search.all, 0b011, 10, first=False)
+    def test_matches_weighted_oracle_on_small_families(self):
+        # small sets over few units let a ban leave a live set without an
+        # available unit, which the pack bound must price out
+        rng = random.Random(53)
+        for _ in range(300):
+            n = rng.randrange(4, 10)
+            family = [tuple(sorted(rng.sample(range(n), rng.randrange(2, 4))))
+                      for _ in range(rng.randrange(3, 13))]
+            costs = {u: rng.randrange(1, 5) for u in range(n)}
+            for sets in (family, reverse_units(family, n)):
+                assert solve_family(sets, costs) == (
+                    brute_min_weighted_hitting(sets, costs))
+
+    @pytest.mark.parametrize("costs", [{0: 1, 1: 1, 2: 1},
+                                       {0: 1, 1: 2, 2: 1}],
+                             ids=["flat", "weighted"])
+    def test_live_set_without_units_is_pruned(self, costs):
+        # set 0 is {0, 1}; banning both leaves it no unit, so no cover
+        # exists below any incumbent
+        search = _CoverSearch([0b011, 0b110], costs, NODE_BUDGET)
+        assert search._branch(search.all, 0b011, 10, first=False) is None
+
+    def test_orbit_cover_matches_oracle_on_unequal_orbits(self):
+        # a random graph beside two symmetric parts gives orbits of sizes 1
+        # to 8, so the orbit search is weighted; at most 13 orbits each
+        rng = random.Random(61)
+        parts = ["cycle:3", "cycle:4", "cycle:5", "cycle:6", "path:3",
+                 "path:4", "path:5", "complete:4", "tailed-star:2"]
+        hosts = [generate("union:cycle:8+path:7+path:9")] + [
+            disjoint_union(random_connected_graph(rng, rng.randrange(4, 8)),
+                           generate("union:" + "+".join(rng.sample(parts, 2))))
+            for _ in range(14)]
+        for host in hosts:
+            part = uncached_orbits(host)
+            for pattern in PATTERNS + [generate("path:4")]:
+                family = footprints_of(pattern, host)
+                if not family.footprints:
+                    continue
+                sol = min_orbit_cover(family, part)
+                assert (sol.value, sol.witness) == brute_min_invariant_cover(
+                    family.footprints, part.orbits), (host, pattern)
 
     def test_witness_pass_keeps_the_optimum_cover_without_search(self):
         # the optimum phase ends on the cover {0, 2}, which is lex-min
@@ -344,30 +377,30 @@ def _rnd(seed, n):
 # (value, witness, nodes_explored, orbit_ids).
 SEARCH_TREES = [
     ("path:4", lambda: circulant(20, (1, 3)),
-     (8, (0, 2, 4, 6, 8, 12, 14, 16), 608, None),
+     (8, (0, 2, 4, 6, 8, 12, 14, 16), 705, None),
      (20, tuple(range(20)), 2, (0,))),
     ("cycle:4", lambda: circulant(21, (1, 2, 5)),
-     (9, (0, 1, 4, 7, 8, 11, 14, 15, 18), 1634, None),
+     (9, (0, 1, 4, 7, 8, 11, 14, 15, 18), 2046, None),
      (21, tuple(range(21)), 2, (0,))),
     ("complete:3", lambda: kneser(7, 2),
-     (10, (0, 1, 2, 3, 6, 7, 8, 11, 12, 15), 340, None),
+     (10, (0, 1, 2, 3, 6, 7, 8, 11, 12, 15), 631, None),
      (21, tuple(range(21)), 2, (0,))),
     ("tailed-star:3", lambda: circulant(21, (1, 8)),
-     (7, (0, 3, 6, 9, 12, 15, 18), 874, None),
+     (7, (0, 3, 6, 9, 12, 15, 18), 1668, None),
      (21, tuple(range(21)), 2, (0,))),
     # orbits of sizes 1 to 3, so the invariant search is weighted
     ("path:4", lambda: generate("union:cycle:8+path:7+path:9"),
      (5, (0, 4, 11, 16, 20), 31, None),
      (11, (0, 1, 2, 3, 4, 5, 6, 7, 11, 17, 21), 24, (0, 4, 7))),
     ("tailed-star:3", lambda: _rnd(3, 16),
-     (7, (0, 2, 3, 4, 5, 11, 15), 785, None),
-     (7, (0, 2, 3, 4, 5, 11, 15), 785, (0, 2, 3, 4, 5, 11, 15))),
+     (7, (0, 2, 3, 4, 5, 11, 15), 1036, None),
+     (7, (0, 2, 3, 4, 5, 11, 15), 1036, (0, 2, 3, 4, 5, 11, 15))),
     ("path:4", lambda: _rnd(5, 18),
-     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 1097, None),
-     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 1097,
+     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 1652, None),
+     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 1652,
       (0, 1, 4, 5, 6, 7, 9, 12, 14, 17))),
     ("path:4", lambda: circulant(32, (1, 4)),
-     (15, (0, 1, 3, 5, 7, 10, 12, 13, 17, 18, 20, 23, 25, 27, 30), 51376,
+     (15, (0, 1, 3, 5, 7, 10, 12, 13, 17, 18, 20, 23, 25, 27, 30), 85757,
       None),
      (32, tuple(range(32)), 2, (0,))),
 ]
