@@ -9,13 +9,16 @@ smallest witness.  The search indexes the sets by bit, so a node is a mask
 of live set indices plus a mask of banned units.  The witness comes from a
 scan over units that searches only outside the optimal cover it holds.
 
-``extremality_report`` solves the invariant cover only on a host with a
-nontrivial group.  When the group is trivial every orbit is a single
-vertex, numbered by that vertex since orbits are numbered by their
-smallest member, and costs 1.  The orbit cover is then the identical
-search over the identical sets, so the report takes the plain solution
-as the invariant one, with the witness as its orbit ids.  It asks for the
-orbits only once the family holds a footprint.
+``extremality_report`` solves the invariant cover only when some
+footprint vertex shares its orbit with another vertex.  When every
+footprint vertex is alone in its orbit, each such orbit costs 1, and
+since orbits are numbered by their smallest member, renaming each vertex
+to its orbit id keeps the order of the vertices.  The orbit cover is then
+the identical search over the same sets under that renaming, so the
+report takes the plain solution as the invariant one, with the witness's
+orbit ids.  A trivial group is the case where every orbit is a single
+vertex.  The report asks for the orbits only once the family holds a
+footprint.
 """
 from __future__ import annotations
 
@@ -64,8 +67,10 @@ class _CoverSearch:
     contain a chosen unit.  The constructor dedups the sets, sorts them by
     (size, mask) and drops every set that contains another, which leaves
     the hitting sets unchanged.  Set i is then bit i of an index mask:
-    ``inc[u]`` is the mask of the sets that contain unit u, and ``meet[i]``
-    the mask of the sets that meet set i (built when first needed).
+    ``inc[u]`` is the mask of the sets that contain unit u.  ``meet`` maps
+    a unit mask to the mask of the sets that meet it; the pack bound fills
+    it with the available units of the sets it packs, so it holds at most
+    one entry per subset of a set, and it lives only as long as the search.
 
     A search node is a mask of live (still unhit) set indices plus a mask
     of banned units.  Choosing u leaves ``live & ~inc[u]``.  Branching
@@ -76,20 +81,18 @@ class _CoverSearch:
     rule (*Dancing Links*, 2000) scans every live set at each node; its
     tree is smaller, but not by as much as its cost per node is higher.
 
-    A ban can leave a live set with no available unit: a branch bans the
-    units of the picked set tried before it, and another live set may hold
-    only those.  Such a dead set can never be hit, because branching never
-    chooses a banned unit, so the node has no cover and is pruned, not
-    refused.  If the picked set is dead its loop runs zero times and the
-    node fails.  A dead set the pack bound reaches costs ``stop`` on the
-    weighted path, which prices the node out, and the shared unit cost on
-    the flat path, a weaker bound that stays valid.  No leaf holds a dead
-    set.
-
-    The lower bound packs pairwise disjoint live sets, lowest index first,
-    each pick dropping the sets in ``meet[i]``; the optimum search starts
-    from the greedy maximum-coverage incumbent and returns the unit mask of
-    the cheapest cover it meets, with its cost in ``upper``.
+    Every node first asks the pack bound (``_pack_bound``) whether a cover
+    cheaper than the incumbent can lie below it.  The bound packs live
+    sets that are pairwise disjoint on their available units, the units not
+    banned; each needs a unit of its own.  A ban can leave a live set with
+    no available unit: a branch bans the units of the picked set tried
+    before it, and another live set may hold only those.  Such a dead set
+    can never be hit, because branching never chooses a banned unit, so
+    the bound prices the node out and no leaf holds a dead set.  A node
+    that passes the bound therefore has a lowest live set with an available
+    unit to branch on.  The optimum search starts from the greedy
+    maximum-coverage incumbent and returns the unit mask of the cheapest
+    cover it meets, with its cost in ``upper``.
 
     The lex-min witness pass scans units in ascending order and keeps each
     one that still allows an optimal completion from larger units.  It
@@ -121,14 +124,15 @@ class _CoverSearch:
         for i, s in enumerate(sets):
             for u in bits_of(s):
                 self.inc[u] |= 1 << i
-        self.meet = [None] * len(sets)
+        self.meet = {}
         unit_costs = {costs[u] for u in bits_of(units)}
         # the cost all units share, which makes every packed set cost it
         self.flat = unit_costs.pop() if len(unit_costs) == 1 else None
 
-    def _charge(self):
-        self.nodes += 1
-        if self.nodes > self.budget:
+    def _charge(self, nodes):
+        """Record ``nodes`` searched so far; raise once past the budget."""
+        self.nodes = nodes
+        if nodes > self.budget:
             raise ResourceLimitError(
                 f"cover search exceeded the node budget {self.budget}",
                 limit=self.budget, best_lower=self.lower,
@@ -149,38 +153,45 @@ class _CoverSearch:
             live &= ~inc[best_u]
         return cost
 
-    def _pack_bound(self, live, banned, stop=None):
-        """Cost lower bound from pairwise disjoint live sets, each at the
-        cost of its cheapest available unit; returns early once the bound
-        reaches ``stop``.  A packed set with no available unit costs
-        ``stop``, which prices the node out; only the root call, with no
-        unit banned, leaves ``stop`` unset."""
+    def _pack_bound(self, live, banned, stop):
+        """Cost lower bound for covering the live sets by units not banned,
+        or ``stop`` once the bound reaches it.
+
+        Every completion below a node uses only unbanned units, so live
+        sets that are pairwise disjoint on their available units need
+        distinct units.  The packing takes the lowest live set, prices it
+        at the cheapest of its available units ``r`` and drops every live
+        set that meets ``r``.  A set with no available unit can never be
+        hit, so it returns ``stop`` at once.  ``meet[r]`` is the mask of
+        the sets that meet ``r``."""
+        sets, inc, costs, meet = self.sets, self.inc, self.costs, self.meet
+        flat = self.flat
         bound = 0
         while live:
-            i = (live & -live).bit_length() - 1
-            if self.flat is not None:
-                bound += self.flat
+            r = sets[(live & -live).bit_length() - 1] & ~banned
+            if not r:
+                return stop
+            if flat is not None:
+                bound += flat
             else:
-                bound += min((self.costs[u]
-                              for u in bits_of(self.sets[i] & ~banned)),
-                             default=stop)
-            if stop is not None and bound >= stop:
-                break
-            meet = self.meet[i]
-            if meet is None:
-                meet = 0
-                for u in bits_of(self.sets[i]):
-                    meet |= self.inc[u]
-                self.meet[i] = meet
-            live &= ~meet
+                bound += min(costs[u] for u in bits_of(r))
+            if bound >= stop:
+                return stop
+            hit = meet.get(r)
+            if hit is None:
+                hit = 0
+                for u in bits_of(r):
+                    hit |= inc[u]
+                meet[r] = hit
+            live &= ~hit
         return bound
 
     def optimum(self) -> int | None:
         """Unit mask of a least-cost cover; None when some set is empty."""
         if self.sets and self.sets[0] == 0:
             return None
-        self.lower = self._pack_bound(self.all, 0)
         self.upper = self._greedy()
+        self.lower = self._pack_bound(self.all, 0, self.upper)
         return self._branch(self.all, 0, self.upper + 1, first=False)
 
     def _branch(self, live, banned, incumbent, first):
@@ -188,11 +199,15 @@ class _CoverSearch:
         sets by units not banned, or None when there is none.  With
         ``first`` set, return the first such cover found."""
         sets, inc, costs = self.sets, self.inc, self.costs
+        pack_bound, budget = self._pack_bound, self.budget
         best_cost, best = incumbent, None
+        nodes = self.nodes
 
         def dfs(live, banned, cost, chosen):
-            nonlocal best_cost, best
-            self._charge()
+            nonlocal best_cost, best, nodes
+            nodes += 1
+            if nodes > budget:
+                self._charge(nodes)
             if not live:
                 if cost >= best_cost:
                     return False
@@ -201,18 +216,24 @@ class _CoverSearch:
                     self.upper = cost
                 return first
             stop = best_cost - cost
-            if self._pack_bound(live, banned, stop) >= stop:
+            if pack_bound(live, banned, stop) >= stop:
                 return False
-            b = (live & -live).bit_length() - 1
+            # the pack bound has priced the lowest live set, so it has an
+            # available unit
+            avail = sets[(live & -live).bit_length() - 1] & ~banned
             tried = 0
-            for u in bits_of(sets[b] & ~banned):
+            while avail:
+                low = avail & -avail
+                u = low.bit_length() - 1
                 if dfs(live & ~inc[u], banned | tried, cost + costs[u],
-                       chosen | 1 << u):
+                       chosen | low):
                     return True
-                tried |= 1 << u
+                tried |= low
+                avail ^= low
             return False
 
         dfs(live, banned, 0, 0)
+        self._charge(nodes)
         return best
 
     def lex_min_witness(self, opt: int, cover: int) -> int:
@@ -361,11 +382,26 @@ def extremality_report(pattern: Graph, host: Graph,
     scans read this memoized report.  The cache is keyed positionally, so
     calls that leave defaults out share an entry with calls that pass them.
 
-    On a host with a trivial automorphism group the invariant cover is the
-    plain one, found by the same search (value, witness and node count),
-    with ``orbit_ids`` equal to the witness; only a nonempty footprint
+    When every footprint vertex is alone in its orbit, as on a host with a
+    trivial automorphism group, the invariant cover is the plain one,
+    found by the same search (value, witness and node count), with
+    ``orbit_ids`` the orbits of the witness; only a nonempty footprint
     family reads the host's orbits."""
     return _extremality_cached(pattern, host, cap, node_budget)
+
+
+def _in_singleton_orbits(pattern: Graph, host: Graph, cap: int,
+                         part: OrbitPartition) -> bool:
+    """Whether every vertex of every footprint is alone in its orbit."""
+    if part.group_order == 1:
+        return True
+    alone = 0
+    for mask in part.masks:
+        if not mask & mask - 1:
+            alone |= mask
+    return all(alone >> v & 1
+               for f in footprints_of(pattern, host, cap).footprints
+               for v in f)
 
 
 @lru_cache(maxsize=4096)
@@ -373,8 +409,10 @@ def _extremality_cached(pattern: Graph, host: Graph, cap: int,
                         node_budget: int) -> ExtremalityReport:
     plain = vertex_representativity(pattern, host, cap, node_budget)
     # a family without footprints needs no orbits, which may be out of reach
-    if plain.value and orbits(host).group_order == 1:
-        invariant = replace(plain, orbit_ids=plain.witness)
+    part = orbits(host) if plain.value else None
+    if part is not None and _in_singleton_orbits(pattern, host, cap, part):
+        invariant = replace(plain, orbit_ids=tuple(
+            part.orbit_of[v] for v in plain.witness))
     else:
         invariant = symmetric_vertex_representativity(pattern, host, cap,
                                                       node_budget)

@@ -146,6 +146,35 @@ class TestMinHittingSet:
         search = _CoverSearch([0b011, 0b110], costs, NODE_BUDGET)
         assert search._branch(search.all, 0b011, 10, first=False) is None
 
+    def test_pack_bound_is_a_lower_bound_under_bans(self):
+        # small sets over few units, random live sets, bans and stops, so
+        # many nodes hold a set whose units are all banned
+        rng = random.Random(67)
+        dead = 0
+        for trial in range(600):
+            n = rng.randrange(3, 9)
+            family = [sum(1 << u for u in rng.sample(range(n),
+                                                     rng.randrange(1, 4)))
+                      for _ in range(rng.randrange(2, 10))]
+            costs = {u: 1 if trial % 3 == 0 else rng.randrange(1, 5)
+                     for u in range(n)}
+            search = _CoverSearch(family, costs, NODE_BUDGET)
+            live = rng.randrange(1 << len(search.sets))
+            banned = rng.randrange(1 << n)
+            stop = rng.choice([rng.randrange(1, 2 * n), 4 * n + 1])
+            bound = search._pack_bound(live, banned, stop)
+            left = [tuple(bits_of(search.sets[i] & ~banned))
+                    for i in bits_of(live)]
+            if not all(left):
+                # some live set can never be hit, so no cover exists
+                dead += 1
+                assert bound == stop
+                continue
+            cheapest, _ = brute_min_weighted_hitting(
+                left, {u: costs[u] for u in range(n) if not banned >> u & 1})
+            assert bound <= min(cheapest, stop)
+        assert dead > 100
+
     def test_orbit_cover_matches_oracle_on_unequal_orbits(self):
         # a random graph beside two symmetric parts gives orbits of sizes 1
         # to 8, so the orbit search is weighted; at most 13 orbits each
@@ -325,8 +354,9 @@ class TestExtremalityReport:
 
 
 class TestTrivialGroupRule:
-    """On a host with a trivial group the report takes the invariant cover
-    from the plain one instead of solving it again."""
+    """On a host whose footprint vertices are each alone in their orbit, a
+    trivial group among them, the report takes the invariant cover from
+    the plain one instead of solving it again."""
 
     @staticmethod
     def asymmetric(graphs):
@@ -352,14 +382,24 @@ class TestTrivialGroupRule:
             random_connected_graph(rng, rng.randrange(10, 16))
             for _ in range(8))
         assert (len(small), len(drawn)) == (152, 7)
-        for host in small + drawn:
-            want = min_orbit_cover(enumerate_footprints(pattern, host),
-                                   uncached_orbits(host))
+        # a symmetric part too small to hold a copy, placed first so that
+        # the orbit ids of the asymmetric part differ from its vertices
+        beside = [disjoint_union(part, host)
+                  for part in (generate("complete:2"), Graph(2, []),
+                               generate("union:complete:2+complete:2"))
+                  for host in drawn]
+        for host in small + drawn + beside:
+            part = uncached_orbits(host)
+            want = min_orbit_cover(enumerate_footprints(pattern, host), part)
             # past the report's memo, so the rule runs on every host
             report = _extremality_cached.__wrapped__(
                 pattern, host, FOOTPRINT_CAP, NODE_BUDGET)
             assert report.invariant == want
-            assert report.invariant.orbit_ids == report.plain.witness
+            assert report.invariant.orbit_ids == tuple(
+                part.orbit_of[v] for v in report.plain.witness)
+            if host in beside:
+                assert part.group_order > 1
+                assert report.invariant.orbit_ids != report.plain.witness
         assert searches == []
         symmetric = generate("cycle:6")
         _extremality_cached.__wrapped__(generate("path:3"), symmetric,
@@ -377,30 +417,30 @@ def _rnd(seed, n):
 # (value, witness, nodes_explored, orbit_ids).
 SEARCH_TREES = [
     ("path:4", lambda: circulant(20, (1, 3)),
-     (8, (0, 2, 4, 6, 8, 12, 14, 16), 705, None),
+     (8, (0, 2, 4, 6, 8, 12, 14, 16), 544, None),
      (20, tuple(range(20)), 2, (0,))),
     ("cycle:4", lambda: circulant(21, (1, 2, 5)),
-     (9, (0, 1, 4, 7, 8, 11, 14, 15, 18), 2046, None),
+     (9, (0, 1, 4, 7, 8, 11, 14, 15, 18), 1569, None),
      (21, tuple(range(21)), 2, (0,))),
     ("complete:3", lambda: kneser(7, 2),
-     (10, (0, 1, 2, 3, 6, 7, 8, 11, 12, 15), 631, None),
+     (10, (0, 1, 2, 3, 6, 7, 8, 11, 12, 15), 413, None),
      (21, tuple(range(21)), 2, (0,))),
     ("tailed-star:3", lambda: circulant(21, (1, 8)),
-     (7, (0, 3, 6, 9, 12, 15, 18), 1668, None),
+     (7, (0, 3, 6, 9, 12, 15, 18), 667, None),
      (21, tuple(range(21)), 2, (0,))),
     # orbits of sizes 1 to 3, so the invariant search is weighted
     ("path:4", lambda: generate("union:cycle:8+path:7+path:9"),
      (5, (0, 4, 11, 16, 20), 31, None),
      (11, (0, 1, 2, 3, 4, 5, 6, 7, 11, 17, 21), 24, (0, 4, 7))),
     ("tailed-star:3", lambda: _rnd(3, 16),
-     (7, (0, 2, 3, 4, 5, 11, 15), 1036, None),
-     (7, (0, 2, 3, 4, 5, 11, 15), 1036, (0, 2, 3, 4, 5, 11, 15))),
+     (7, (0, 2, 3, 4, 5, 11, 15), 333, None),
+     (7, (0, 2, 3, 4, 5, 11, 15), 333, (0, 2, 3, 4, 5, 11, 15))),
     ("path:4", lambda: _rnd(5, 18),
-     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 1652, None),
-     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 1652,
+     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 518, None),
+     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 518,
       (0, 1, 4, 5, 6, 7, 9, 12, 14, 17))),
     ("path:4", lambda: circulant(32, (1, 4)),
-     (15, (0, 1, 3, 5, 7, 10, 12, 13, 17, 18, 20, 23, 25, 27, 30), 85757,
+     (15, (0, 1, 3, 5, 7, 10, 12, 13, 17, 18, 20, 23, 25, 27, 30), 58739,
       None),
      (32, tuple(range(32)), 2, (0,))),
 ]
