@@ -6,106 +6,25 @@ such a set that is additionally invariant under every automorphism of the
 host, together with executable verifiers for the exact inequalities and
 boundary conditions that relate the two.
 """
-from .checks import (BoundaryReport, NeighborhoodProfile,
-                     OrbitContainmentReport, OrbitDensityReport,
-                     OrbitExpansionReport, OrbitSumReport, WeightFunction,
-                     WeightSystemReport, build_pair_weight,
-                     check_extremal_boundary, check_orbit_density,
-                     check_orbit_pattern_containment, neighborhood_profile,
-                     verify_orbit_expansion, verify_orbit_sum_bound,
-                     verify_weighted_system, weight_orbit,
-                     weighted_symmetrize)
-from .copies import (FOOTPRINT_CAP, CopyFamily, contains_copy,
-                     enumerate_footprints, footprints_of)
-from .covers import (NODE_BUDGET, CoverSolution, ExtremalityReport,
-                     extremality_report, min_hitting_set,
-                     symmetric_vertex_representativity,
-                     vertex_representativity)
-from .errors import (FamilySpecError, GraphParseError, NotAHittingSetError,
-                     PreconditionError, ResourceLimitError, SymcoverError,
-                     VerificationError, WeightConstructionError)
-from .graphs import (FamilySpec, Graph, basic_predicates, canonical_form,
-                     canonical_graph, disjoint_union, emit_graph6, generate,
-                     has_pendant_vertex, induced_subgraph, is_connected,
-                     is_regular, parse_edge_list,
-                     parse_family_spec, parse_graph6)
-from .report import parse_rat, rat, render_human
-from .search import (SearchReport, classify_vt_extremal, enum_graphs,
-                     find_dense_counterexample, scan_connected_extremal)
-from .symmetry import (AutomorphismGroup, OrbitPartition, automorphisms,
-                       is_isomorphic, is_vertex_transitive, orbits,
-                       refine_colors)
+from . import checks, copies, covers, errors, graphs, report, search, symmetry
+from .checks import *
+from .copies import *
+from .covers import *
+from .errors import *
+from .graphs import *
+from .report import *
+from .search import *
+from .symmetry import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BoundaryReport",
-    "NeighborhoodProfile",
-    "OrbitContainmentReport",
-    "OrbitDensityReport",
-    "OrbitExpansionReport",
-    "OrbitSumReport",
-    "WeightFunction",
-    "WeightSystemReport",
-    "build_pair_weight",
-    "check_extremal_boundary",
-    "check_orbit_density",
-    "check_orbit_pattern_containment",
-    "neighborhood_profile",
-    "verify_orbit_expansion",
-    "verify_orbit_sum_bound",
-    "verify_weighted_system",
-    "weight_orbit",
-    "weighted_symmetrize",
-    "FOOTPRINT_CAP",
-    "CopyFamily",
-    "contains_copy",
-    "enumerate_footprints",
-    "footprints_of",
-    "NODE_BUDGET",
-    "CoverSolution",
-    "ExtremalityReport",
-    "extremality_report",
-    "min_hitting_set",
-    "symmetric_vertex_representativity",
-    "vertex_representativity",
-    "FamilySpecError",
-    "GraphParseError",
-    "NotAHittingSetError",
-    "PreconditionError",
-    "ResourceLimitError",
-    "SymcoverError",
-    "VerificationError",
-    "WeightConstructionError",
-    "FamilySpec",
-    "Graph",
-    "basic_predicates",
-    "canonical_form",
-    "canonical_graph",
-    "disjoint_union",
-    "emit_graph6",
-    "generate",
-    "has_pendant_vertex",
-    "induced_subgraph",
-    "is_connected",
-    "is_isomorphic",
-    "is_regular",
-    "parse_edge_list",
-    "parse_family_spec",
-    "parse_graph6",
-    "parse_rat",
-    "rat",
-    "render_human",
-    "SearchReport",
-    "classify_vt_extremal",
-    "enum_graphs",
-    "find_dense_counterexample",
-    "scan_connected_extremal",
-    "AutomorphismGroup",
-    "OrbitPartition",
-    "automorphisms",
-    "is_vertex_transitive",
-    "orbits",
-    "refine_colors",
-]
+# each module's __all__ is the one list of its public names
+__all__ = ["__version__"]
+__all__ += checks.__all__
+__all__ += copies.__all__
+__all__ += covers.__all__
+__all__ += errors.__all__
+__all__ += graphs.__all__
+__all__ += report.__all__
+__all__ += search.__all__
+__all__ += symmetry.__all__

@@ -12,8 +12,8 @@ from functools import lru_cache
 from .errors import PreconditionError, ResourceLimitError
 from .graphs import Graph, bits_of
 
-__all__ = ["CopyFamily", "enumerate_footprints", "contains_copy",
-           "FOOTPRINT_CAP"]
+__all__ = ["CopyFamily", "enumerate_footprints", "footprints_of",
+           "contains_copy", "FOOTPRINT_CAP"]
 
 FOOTPRINT_CAP = 10**6
 

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .copies import CopyFamily, footprints_of, FOOTPRINT_CAP
 from .errors import (PreconditionError, ResourceLimitError,
                      VerificationError)
 from .graphs import Graph, bits_of
+from .report import rat
 from .symmetry import OrbitPartition, orbits
 
 __all__ = [
@@ -288,17 +290,15 @@ def _solve_cover(set_masks, costs, budget):
 
 def min_hitting_set(family: CopyFamily, n: int | None = None,
                     node_budget: int = NODE_BUDGET) -> CoverSolution:
-    """Smallest vertex set meeting every footprint of the family."""
+    """Smallest vertex set meeting every footprint of the family.  With
+    ``n``, a footprint vertex outside 0..n-1 is a ``PreconditionError``."""
     if n is not None:
         for f in family.footprints:
-            if f and not (0 <= f[0] and f[-1] < n):
+            if f and not (0 <= min(f) and max(f) < n):
                 raise PreconditionError(
                     f"footprint {f} outside 0..{n - 1}")
     masks = family.masks()
-    costs = {}
-    for m in masks:
-        for v in bits_of(m):
-            costs[v] = 1
+    costs = dict.fromkeys(bits_of(reduce(or_, masks, 0)), 1)
     value, witness_mask, nodes = _solve_cover(masks, costs, node_budget)
     return CoverSolution(value=value, witness=tuple(bits_of(witness_mask)),
                          nodes_explored=nodes)
@@ -307,8 +307,9 @@ def min_hitting_set(family: CopyFamily, n: int | None = None,
 def vertex_representativity(pattern: Graph, host: Graph,
                             cap: int = FOOTPRINT_CAP,
                             node_budget: int = NODE_BUDGET) -> CoverSolution:
+    # the matcher only yields host vertices, so the range check is skipped
     family = footprints_of(pattern, host, cap=cap)
-    return min_hitting_set(family, host.n, node_budget=node_budget)
+    return min_hitting_set(family, node_budget=node_budget)
 
 
 def symmetric_vertex_representativity(
@@ -330,13 +331,19 @@ def symmetric_vertex_representativity(
 def min_orbit_cover(family: CopyFamily, part: OrbitPartition,
                     node_budget: int = NODE_BUDGET) -> CoverSolution:
     """Least total size of a union of the given orbits meeting every
-    footprint of the family."""
+    footprint of the family.  A vertex outside the partition, negative
+    ones included, fails the dict lookup and is a ``PreconditionError``."""
+    bit = {v: 1 << oid for v, oid in enumerate(part.orbit_of)}
     orbit_sets = set()
-    for f in family.footprints:
-        ids = 0
-        for v in f:
-            ids |= 1 << part.orbit_of[v]
-        orbit_sets.add(ids)
+    try:
+        for f in family.footprints:
+            ids = 0
+            for v in f:
+                ids |= bit[v]
+            orbit_sets.add(ids)
+    except KeyError:
+        raise PreconditionError(f"footprint {f} has vertex {v} outside "
+                                f"0..{len(bit) - 1}") from None
     costs = {oid: len(part.orbits[oid]) for oid in range(part.count)}
     value, ids_mask, nodes = _solve_cover(sorted(orbit_sets), costs,
                                           node_budget)
@@ -361,7 +368,6 @@ class ExtremalityReport:
     is_expensive_instance: bool
 
     def to_doc(self) -> dict:
-        from .report import rat
         return {
             "pattern_order": self.pattern_order,
             "vertex_representativity": self.plain.value,

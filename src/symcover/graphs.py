@@ -519,13 +519,6 @@ def lex_min_order(n: int, rows,
     return None if n and dfs([(0, (1 << n) - 1)]) else best_order
 
 
-def is_lex_min_labelled(g: Graph) -> bool:
-    """Whether g is its own canonical representative.  Uncached and stopped
-    at the first better prefix, so orderly generation can test every
-    labelled child without keeping it."""
-    return lex_min_order(g.n, g.rows, first_only=True) is not None
-
-
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class."""
     order = lex_min_order(g.n, g.rows)

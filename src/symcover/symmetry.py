@@ -35,6 +35,7 @@ __all__ = [
     "orbits",
     "is_vertex_transitive",
     "is_isomorphic",
+    "refine_colors",
     "ORDER_CAP",
     "ELEMENT_CAP",
     "VERTEX_CAP",

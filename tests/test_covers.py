@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +119,25 @@ class TestMinHittingSet:
         family = CopyFamily(pattern_order=2, footprints=((0, 5),))
         with pytest.raises(PreconditionError, match="outside 0..3"):
             min_hitting_set(family, 4)
+
+    @pytest.mark.parametrize("footprints", [
+        ((5, 0), (5, 1)),  # unsorted: the last vertex of each is in range
+        ((-1, 2), (0, 1)),
+    ])
+    def test_every_footprint_vertex_is_range_checked(self, footprints):
+        family = CopyFamily(pattern_order=2, footprints=footprints)
+        with pytest.raises(PreconditionError, match=re.escape(
+                f"footprint {footprints[0]} outside 0..2")):
+            min_hitting_set(family, 3)
+
+    @pytest.mark.parametrize("vertex", [3, -1])
+    def test_orbit_cover_vertex_outside_the_partition_is_a_precondition(
+            self, vertex):
+        # -1 would index the last vertex's orbit, 3 would raise IndexError
+        family = CopyFamily(pattern_order=2, footprints=((vertex, 1),))
+        with pytest.raises(PreconditionError,
+                           match=f"vertex {vertex} outside 0..2"):
+            min_orbit_cover(family, uncached_orbits(generate("path:3")))
 
     def test_empty_footprint_is_a_precondition(self):
         family = CopyFamily(pattern_order=0, footprints=((),))
