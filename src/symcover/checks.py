@@ -21,7 +21,7 @@ from .errors import (NotAHittingSetError, PreconditionError,
                      VerificationError, WeightConstructionError)
 from .graphs import Graph, bits_of, is_connected, has_pendant_vertex
 from .report import rat
-from .symmetry import automorphisms, orbits, ELEMENT_CAP
+from .symmetry import automorphisms, orbits
 
 __all__ = [
     "OrbitSumReport",
@@ -198,15 +198,15 @@ def check_extremal_boundary(pattern: Graph, host: Graph,
     part = orbits(host)
     x_mask = _as_mask(plain.witness, host.n, "witness")
     meeting = [oid for oid in range(part.count)
-               if part.orbit_mask(oid) & x_mask]
+               if part.masks[oid] & x_mask]
     cond1_fail = tuple(
         oid for oid in meeting
         if len(part.orbits[oid])
-        != m * (part.orbit_mask(oid) & x_mask).bit_count()
+        != m * (part.masks[oid] & x_mask).bit_count()
     )
     meeting_mask = 0
     for oid in meeting:
-        meeting_mask |= part.orbit_mask(oid)
+        meeting_mask |= part.masks[oid]
     masks = family.masks()
     cond2_fail = tuple(
         fp for fp, fm in zip(family.footprints, masks) if fm & ~meeting_mask)
@@ -281,7 +281,7 @@ def check_orbit_density(pattern: Graph, host: Graph, marked=None,
     rows = []
     holds = True
     for oid in range(part.count):
-        om = part.orbit_mask(oid)
+        om = part.masks[oid]
         size = len(part.orbits[oid])
         inter = (om & x_mask).bit_count()
         meets = bool(om & touched)
@@ -506,7 +506,7 @@ def weighted_symmetrize(host: Graph, marked, max_total) -> tuple[int, ...]:
     part = orbits(host)
     out_mask = 0
     for oid in range(part.count):
-        om = part.orbit_mask(oid)
+        om = part.masks[oid]
         if (om & x_mask).bit_count() * m >= om.bit_count():
             out_mask |= om
     return tuple(bits_of(out_mask))
@@ -575,15 +575,15 @@ class WeightFunction:
                 "total": rat(self.total)}
 
 
-def weight_orbit(host: Graph, fn: WeightFunction,
-                 element_cap: int = ELEMENT_CAP) -> tuple[WeightFunction, ...]:
+def weight_orbit(host: Graph,
+                 fn: WeightFunction) -> tuple[WeightFunction, ...]:
     """All distinct images of the weight function under the automorphism
-    group of the host (the group must be fully enumerable)."""
+    group of the host, which has at most ``ELEMENT_CAP`` elements."""
     if fn.graph != host:
         raise PreconditionError("weight function lives on a different graph")
     group = automorphisms(host)
     seen = {}
-    for p in group.elements(cap=element_cap):
+    for p in group.elements():
         img = fn.translate(p)
         seen[img.entries] = img
     return tuple(seen[k] for k in sorted(seen))

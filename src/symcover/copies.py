@@ -38,11 +38,15 @@ class CopyFamily:
 
     def masks(self) -> tuple[int, ...]:
         out = []
-        for f in self.footprints:
-            m = 0
-            for v in f:
-                m |= 1 << v
-            out.append(m)
+        try:
+            for f in self.footprints:
+                m = 0
+                for v in f:
+                    m |= 1 << v
+                out.append(m)
+        except ValueError:  # a negative shift; no check on the happy path
+            raise PreconditionError(
+                f"footprint {f} has a negative vertex") from None
         return tuple(out)
 
 

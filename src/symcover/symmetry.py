@@ -18,6 +18,10 @@ Each level closes the orbit of b_t under the witnesses it has searched
 (Schreier-Sims orbit closure, Sims 1970): an image they already reach gets
 a composed witness, which fixes the prefix too, and no search.  The
 group's generators are the searched witnesses of every level.
+
+One group is cached per graph, with the orbit partition that ``orbits``
+reads.  Its order is exact at any size; only ``elements``, which lists
+every permutation, refuses a group above ``ELEMENT_CAP``.
 """
 from __future__ import annotations
 
@@ -36,12 +40,10 @@ __all__ = [
     "is_vertex_transitive",
     "is_isomorphic",
     "refine_colors",
-    "ORDER_CAP",
     "ELEMENT_CAP",
     "VERTEX_CAP",
 ]
 
-ORDER_CAP = 10**9
 ELEMENT_CAP = 10**6
 VERTEX_CAP = 64
 
@@ -65,47 +67,44 @@ def refine_colors(g: Graph) -> tuple[int, ...]:
 
 
 class AutomorphismGroup:
-    """Automorphism group of a graph: exact order, generators, and (for
-    small groups) the full element list.  Level t of the transversals
-    holds, for each image of the base point b_t, one witness that carries
-    b_t there and fixes b_0..b_{t-1}, with None for b_t itself."""
+    """Automorphism group of a graph: exact order, generators, their orbit
+    ``partition``, and up to ``ELEMENT_CAP`` elements the element list.
+    Level t of the transversals holds, for each image of the base point b_t,
+    one witness that carries b_t there and fixes b_0..b_{t-1}, or None."""
 
     def __init__(self, n: int, order: int, generators, transversals):
         self.n = n
         self.order = order
         self.generators = generators
         self._transversals = transversals
-        self._elements = None
+        self.partition = _orbit_partition(self)
 
-    def elements(self, cap: int = ELEMENT_CAP) -> tuple[tuple[int, ...], ...]:
-        """All group elements, materialized once.  Errors above the cap
-        rather than returning a partial list."""
-        if self.order > cap:
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """All group elements, built on each call.  Errors above
+        ``ELEMENT_CAP`` rather than returning a partial list."""
+        if self.order > ELEMENT_CAP:
             raise ResourceLimitError(
-                f"group of order {self.order} exceeds the element cap {cap}",
-                limit=cap,
-            )
-        if self._elements is None:
-            identity = tuple(range(self.n))
-            out = []
+                f"group of order {self.order} exceeds the element cap "
+                f"{ELEMENT_CAP}", limit=ELEMENT_CAP)
+        identity = tuple(range(self.n))
+        out = []
 
-            def rec(level: int, acc):
-                if level == len(self._transversals):
-                    out.append(acc)
-                    return
-                for w in self._transversals[level]:
-                    if w is None:
-                        rec(level + 1, acc)
-                    else:
-                        rec(level + 1, tuple(acc[w[x]] for x in range(self.n)))
+        def rec(level: int, acc):
+            if level == len(self._transversals):
+                out.append(acc)
+                return
+            for w in self._transversals[level]:
+                if w is None:
+                    rec(level + 1, acc)
+                else:
+                    rec(level + 1, tuple(acc[w[x]] for x in range(self.n)))
 
-            rec(0, identity)
-            if len(out) != self.order:
-                raise VerificationError(
-                    f"materialized {len(out)} elements of a group of order "
-                    f"{self.order}")
-            self._elements = tuple(out)
-        return self._elements
+        rec(0, identity)
+        if len(out) != self.order:
+            raise VerificationError(
+                f"materialized {len(out)} elements of a group of order "
+                f"{self.order}")
+        return tuple(out)
 
 
 def _color_search(g: Graph, colors, host_colors):
@@ -196,13 +195,9 @@ def _close_orbit(reached: dict, gens) -> None:
                 queue.append(q)
 
 
-def automorphisms(g: Graph, order_cap: int = ORDER_CAP) -> AutomorphismGroup:
-    group = _automorphism_group(g)
-    if group.order > order_cap:
-        raise ResourceLimitError(
-            f"automorphism group order {group.order} exceeds the cap "
-            f"{order_cap}", limit=order_cap)
-    return group
+def automorphisms(g: Graph) -> AutomorphismGroup:
+    """The group of g, cached per graph; its order is exact at any size."""
+    return _automorphism_group(g)
 
 
 @dataclass(frozen=True)
@@ -221,19 +216,16 @@ class OrbitPartition:
     def count(self) -> int:
         return len(self.orbits)
 
-    def orbit_mask(self, oid: int) -> int:
-        return self.masks[oid]
 
-
-@lru_cache(maxsize=4096)
 def orbits(g: Graph) -> OrbitPartition:
-    return _orbit_partition(_automorphism_group(g))
+    """The orbit partition stored with g's cached group."""
+    return _automorphism_group(g).partition
 
 
 def uncached_orbits(g: Graph) -> OrbitPartition:
-    """The orbits recomputed from scratch, past the group and orbit caches,
-    so a re-verification does not read back the result it checks."""
-    return _orbit_partition(_automorphism_group.__wrapped__(g))
+    """The orbits recomputed from scratch, past the group cache, so a
+    re-verification does not read back the result it checks."""
+    return _automorphism_group.__wrapped__(g).partition
 
 
 def _orbit_partition(aut: AutomorphismGroup) -> OrbitPartition:

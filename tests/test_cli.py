@@ -115,7 +115,7 @@ class TestRepr:
             assert lo <= value <= hi, argv
 
     def test_orbits_ignore_the_order_cap(self, capsys):
-        # |Aut(K13)| = 13! exceeds ORDER_CAP; orbits need only generators
+        # |Aut(K13)| = 13!; orbits need only generators
         code, doc = run_json(capsys, "repr", "--pattern", "complete:3",
                              "--host", "complete:13")
         assert code == 0

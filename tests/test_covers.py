@@ -130,6 +130,12 @@ class TestMinHittingSet:
                 f"footprint {footprints[0]} outside 0..2")):
             min_hitting_set(family, 3)
 
+    def test_negative_vertex_without_a_range_is_a_precondition(self):
+        family = CopyFamily(pattern_order=2, footprints=((-1, 1),))
+        with pytest.raises(PreconditionError, match=re.escape(
+                "footprint (-1, 1) has a negative vertex")):
+            min_hitting_set(family)
+
     @pytest.mark.parametrize("vertex", [3, -1])
     def test_orbit_cover_vertex_outside_the_partition_is_a_precondition(
             self, vertex):

@@ -172,7 +172,7 @@ class TestVtScan:
         pattern = generate("tailed-star:3")
         report = classify_vt_extremal(3, 6)
         (g6,) = report.classification
-        caches = (symcover.copies._footprints_cached, symcover.symmetry.orbits,
+        caches = (symcover.copies._footprints_cached,
                   symcover.symmetry._automorphism_group)
         before = [cache.cache_info()[:2] for cache in caches]
         symcover.search._reverify(pattern, g6, "plain=1 invariant=5")
