@@ -44,9 +44,11 @@ def main() -> None:
               f"vertex-transitive={is_vertex_transitive(g)}")
 
     print()
-    print("The tailed star is rigid apart from permuting its bare rays:")
-    star = generate("tailed-star:3")
-    for perm in automorphisms(star).elements():
+    print("The tailed star is rigid apart from permuting its bare rays;")
+    print("its group is kept as its order and generators:")
+    group = automorphisms(generate("tailed-star:3"))
+    print(f"  order {group.order}")
+    for perm in group.generators:
         print(f"  {perm}")
 
 

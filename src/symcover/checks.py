@@ -18,7 +18,8 @@ from .covers import CoverSolution, NODE_BUDGET, extremality_report
 from .copies import contains_copy
 from .covers import symmetric_vertex_representativity, vertex_representativity
 from .errors import (NotAHittingSetError, PreconditionError,
-                     VerificationError, WeightConstructionError)
+                     ResourceLimitError, VerificationError,
+                     WeightConstructionError)
 from .graphs import Graph, bits_of, is_connected, has_pendant_vertex
 from .report import rat
 from .symmetry import automorphisms, orbits
@@ -42,7 +43,10 @@ __all__ = [
     "weight_orbit",
     "verify_weighted_system",
     "build_pair_weight",
+    "ELEMENT_CAP",
 ]
+
+ELEMENT_CAP = 10**6
 
 
 def _as_mask(vertices, n: int, what: str) -> int:
@@ -578,15 +582,37 @@ class WeightFunction:
 def weight_orbit(host: Graph,
                  fn: WeightFunction) -> tuple[WeightFunction, ...]:
     """All distinct images of the weight function under the automorphism
-    group of the host, which has at most ``ELEMENT_CAP`` elements."""
+    group of the host, sorted by entries.  The orbit is the closure of the
+    function under the group's generators, each image a tuple of value
+    indices per vertex on which generator p acts as fn∘p, as ``translate``
+    does.  Raises ``ResourceLimitError`` once more than ``ELEMENT_CAP``
+    images have been built."""
     if fn.graph != host:
         raise PreconditionError("weight function lives on a different graph")
-    group = automorphisms(host)
-    seen = {}
-    for p in group.elements():
-        img = fn.translate(p)
-        seen[img.entries] = img
-    return tuple(seen[k] for k in sorted(seen))
+    generators = automorphisms(host).generators
+    values = [0, *fn.values_used]
+    index = {w: i for i, w in enumerate(values)}
+    start = tuple(index[fn.value(v)] for v in range(host.n))
+    seen = {start}
+    queue = [start]
+    built = 0
+    while queue:
+        vec = queue.pop()
+        for p in generators:
+            built += 1
+            if built > ELEMENT_CAP:
+                raise ResourceLimitError(
+                    f"weight orbit closure built {ELEMENT_CAP} images and "
+                    f"found {len(seen)} distinct ones, without closing",
+                    limit=ELEMENT_CAP)
+            img = tuple(map(vec.__getitem__, p))
+            if img not in seen:
+                seen.add(img)
+                queue.append(img)
+    family = [WeightFunction(host, {v: values[i] for v, i in enumerate(vec)
+                                    if i})
+              for vec in seen]
+    return tuple(sorted(family, key=lambda f: f.entries))
 
 
 @dataclass(frozen=True)

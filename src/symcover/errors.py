@@ -55,7 +55,7 @@ class WeightConstructionError(SymcoverError):
 
 
 class ResourceLimitError(SymcoverError):
-    """An explicit budget (node count, enumeration cap, group size) was hit.
+    """An explicit budget (node count, enumeration cap, orbit images built) was hit.
 
     Carries whatever partial knowledge the computation had, so callers can
     report honest bounds instead of a silently truncated answer.

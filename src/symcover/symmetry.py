@@ -3,10 +3,9 @@
 Permutations are tuples ``p`` with ``p[v]`` the image of vertex v.  The
 group is computed as a stabilizer chain whose base b_0, b_1, ... is the
 vertex order of the footprint matcher: for each b_t we collect the images
-of b_t under automorphisms that fix b_0..b_{t-1} pointwise, together with
-one witness permutation per image.  The group order is then the product of
-the transversal sizes, which stays exact even when the group is far too
-large to enumerate.
+of b_t under automorphisms that fix b_0..b_{t-1} pointwise.  The group
+order is then the product of the numbers of images, which stays exact even
+when the group is far too large to enumerate.
 
 Witnesses come from the backtracking embedding search of ``copies``, run
 with the graph as both pattern and host: b_0..b_{t-1} may map only to
@@ -15,13 +14,13 @@ the first ones placed; every other vertex maps into its ``refine_colors``
 class.  The search checks edges alone, which is enough, since an
 edge-preserving bijection of a finite graph onto itself is an automorphism.
 Each level closes the orbit of b_t under the witnesses it has searched
-(Schreier-Sims orbit closure, Sims 1970): an image they already reach gets
-a composed witness, which fixes the prefix too, and no search.  The
-group's generators are the searched witnesses of every level.
+(Schreier-Sims orbit closure, Sims 1970): an image they already reach needs
+no search.  The group's generators are the searched witnesses of every
+level, and the same closure, run on the generators, gives the vertex
+orbits.
 
-One group is cached per graph, with the orbit partition that ``orbits``
-reads.  Its order is exact at any size; only ``elements``, which lists
-every permutation, refuses a group above ``ELEMENT_CAP``.
+One group is cached per graph: its exact order, its generators and the
+orbit partition that ``orbits`` reads.  No element list is kept.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .copies import _back_edges, _embed, _match_order
-from .errors import ResourceLimitError, VerificationError
+from .errors import ResourceLimitError
 from .graphs import Graph, bits_of
 
 __all__ = [
@@ -40,11 +39,9 @@ __all__ = [
     "is_vertex_transitive",
     "is_isomorphic",
     "refine_colors",
-    "ELEMENT_CAP",
     "VERTEX_CAP",
 ]
 
-ELEMENT_CAP = 10**6
 VERTEX_CAP = 64
 
 
@@ -67,44 +64,14 @@ def refine_colors(g: Graph) -> tuple[int, ...]:
 
 
 class AutomorphismGroup:
-    """Automorphism group of a graph: exact order, generators, their orbit
-    ``partition``, and up to ``ELEMENT_CAP`` elements the element list.
-    Level t of the transversals holds, for each image of the base point b_t,
-    one witness that carries b_t there and fixes b_0..b_{t-1}, or None."""
+    """Automorphism group of a graph: exact order, generators, and their
+    orbit ``partition``."""
 
-    def __init__(self, n: int, order: int, generators, transversals):
+    def __init__(self, n: int, order: int, generators):
         self.n = n
         self.order = order
         self.generators = generators
-        self._transversals = transversals
         self.partition = _orbit_partition(self)
-
-    def elements(self) -> tuple[tuple[int, ...], ...]:
-        """All group elements, built on each call.  Errors above
-        ``ELEMENT_CAP`` rather than returning a partial list."""
-        if self.order > ELEMENT_CAP:
-            raise ResourceLimitError(
-                f"group of order {self.order} exceeds the element cap "
-                f"{ELEMENT_CAP}", limit=ELEMENT_CAP)
-        identity = tuple(range(self.n))
-        out = []
-
-        def rec(level: int, acc):
-            if level == len(self._transversals):
-                out.append(acc)
-                return
-            for w in self._transversals[level]:
-                if w is None:
-                    rec(level + 1, acc)
-                else:
-                    rec(level + 1, tuple(acc[w[x]] for x in range(self.n)))
-
-        rec(0, identity)
-        if len(out) != self.order:
-            raise VerificationError(
-                f"materialized {len(out)} elements of a group of order "
-                f"{self.order}")
-        return tuple(out)
 
 
 def _color_search(g: Graph, colors, host_colors):
@@ -155,44 +122,39 @@ def _automorphism_group(g: Graph) -> AutomorphismGroup:
         found.append(tuple(perm))
         return True
 
-    transversals = []
     generators = []
     size = 1
     fixed = 0
     for t, i in enumerate(order):
-        level = {i: None}  # image of i -> a witness carrying i there
+        reached = 1 << i  # the images of i the level's witnesses reach
         searched = []
         for c in bits_of(elig[t] & ~fixed & ~(1 << i)):
             # c must look exactly like i toward the fixed prefix
-            if c in level or rows[c] & fixed != rows[i] & fixed:
+            if reached >> c & 1 or rows[c] & fixed != rows[i] & fixed:
                 continue
             pinned = elig.copy()
             pinned[t] = 1 << c
             if _embed(rows, back, pinned, leaf):
                 searched.append(found.pop())
-                _close_orbit(level, searched)
-        transversals.append(tuple(level.values()))
+                reached = _close(reached, searched)
         generators += searched
-        size *= len(level)
+        size *= reached.bit_count()
         elig[t] = 1 << i
         fixed |= 1 << i
-    return AutomorphismGroup(n, size, tuple(generators), transversals)
+    return AutomorphismGroup(n, size, tuple(generators))
 
 
-def _close_orbit(reached: dict, gens) -> None:
-    """Extend ``reached``, a map from points to witnesses carrying the base
-    point there (None for the base point itself), to its orbit under
-    ``gens``: when w carries it to p, the composition s∘w carries it to
-    s[p]."""
-    queue = list(reached)
+def _close(mask: int, gens) -> int:
+    """The vertex mask closed under the permutations ``gens``."""
+    queue = list(bits_of(mask))
     while queue:
         p = queue.pop()
-        w = reached[p]
         for s in gens:
             q = s[p]
-            if q not in reached:
-                reached[q] = s if w is None else tuple(map(s.__getitem__, w))
+            if not mask >> q & 1:
+                mask |= 1 << q
                 queue.append(q)
+    return mask
 
 
 def automorphisms(g: Graph) -> AutomorphismGroup:
@@ -229,25 +191,16 @@ def uncached_orbits(g: Graph) -> OrbitPartition:
 
 
 def _orbit_partition(aut: AutomorphismGroup) -> OrbitPartition:
-    n = aut.n
-    orbit_of = [-1] * n
+    """Closes the lowest vertex not yet placed, until every vertex is."""
+    orbit_of = [-1] * aut.n
     masks = []
-    for v in range(n):
-        if orbit_of[v] != -1:
-            continue
-        oid = len(masks)
-        queue = [v]
-        orbit_of[v] = oid
-        mask = 1 << v
-        while queue:
-            x = queue.pop()
-            for p in aut.generators:
-                y = p[x]
-                if orbit_of[y] == -1:
-                    orbit_of[y] = oid
-                    mask |= 1 << y
-                    queue.append(y)
+    left = (1 << aut.n) - 1
+    while left:
+        mask = _close(left & -left, aut.generators)
+        for v in bits_of(mask):
+            orbit_of[v] = len(masks)
         masks.append(mask)
+        left &= ~mask
     return OrbitPartition(
         orbit_of=tuple(orbit_of),
         orbits=tuple(tuple(bits_of(m)) for m in masks),

@@ -25,6 +25,22 @@ def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return found
 
 
+def generated_group(gens, n: int) -> set[tuple[int, ...]]:
+    """Every permutation of range(n) that the generators reach by
+    composition, starting from the identity."""
+    identity = tuple(range(n))
+    group = {identity}
+    queue = [identity]
+    while queue:
+        p = queue.pop()
+        for s in gens:
+            q = tuple(s[x] for x in p)
+            if q not in group:
+                group.add(q)
+                queue.append(q)
+    return group
+
+
 def brute_orbits(g: Graph) -> list[tuple[int, ...]]:
     """Vertex orbits under the full automorphism group, sorted by minimum."""
     perms = brute_automorphisms(g)

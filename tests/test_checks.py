@@ -10,8 +10,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (circulant, cube, petersen, prism,
+import symcover.checks
+from conftest import (circulant, cube, hypercube, petersen, prism,
                       random_connected_graph, relabelled)
+from oracles import brute_automorphisms
 from symcover.checks import (
     _orbits_holding_a_footprint,
     build_pair_weight,
@@ -31,6 +33,7 @@ from symcover.covers import vertex_representativity
 from symcover.errors import (
     NotAHittingSetError,
     PreconditionError,
+    ResourceLimitError,
     WeightConstructionError,
 )
 from symcover.graphs import Graph, disjoint_union, generate, induced_subgraph
@@ -388,7 +391,8 @@ class TestWeightFunction:
     def test_translate_preserves_total(self):
         host = petersen()
         fn = WeightFunction(host, {0: 1, 1: "1/2", 5: "1/3"})
-        for perm in automorphisms(host).elements():
+        # invariance under the generators is invariance under the group
+        for perm in automorphisms(host).generators:
             assert fn.translate(perm).total == fn.total
 
     def test_equality_and_doc(self, k5):
@@ -416,6 +420,31 @@ class TestWeightOrbit:
         fn = WeightFunction(generate("cycle:5"), {0: 1})
         with pytest.raises(PreconditionError):
             weight_orbit(k5, fn)
+
+    def test_matches_brute_force_on_the_bench_sweeps(self):
+        # the weight sweeps of the bench on hosts below 9 vertices
+        k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        c8 = circulant(8, (2, 3, 4))
+        for host, pair, tail in ((k33, (0, 3), 3), (hypercube(3), (0, 1), 3),
+                                 (prism(), (0, 3), 3), (c8, (0, 4), 3),
+                                 (c8, (0, 4), 4), (c8, (0, 4), 5)):
+            fn = build_pair_weight(host, *pair, tail)
+            images = {fn.translate(p) for p in brute_automorphisms(host)}
+            want = tuple(sorted(images, key=lambda f: f.entries))
+            assert weight_orbit(host, fn) == want
+
+    def test_group_above_the_cap_with_a_small_orbit(self):
+        # 10! = 3,628,800 automorphisms, 10 images
+        k10 = generate("complete:10")
+        family = weight_orbit(k10, WeightFunction(k10, {0: 1}))
+        assert family == tuple(WeightFunction(k10, {v: 1}) for v in range(10))
+
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(symcover.checks, "ELEMENT_CAP", 20)
+        host = petersen()
+        with pytest.raises(ResourceLimitError) as info:
+            weight_orbit(host, WeightFunction(host, {0: 1, 1: 2}))
+        assert info.value.limit == 20
 
 
 class TestWeightedSystem:
