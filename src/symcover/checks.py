@@ -22,7 +22,7 @@ from .errors import (NotAHittingSetError, PreconditionError,
                      WeightConstructionError)
 from .graphs import Graph, bits_of, is_connected, has_pendant_vertex
 from .report import rat
-from .symmetry import automorphisms, orbits
+from .symmetry import _chain, _refined, automorphisms, orbits
 
 __all__ = [
     "OrbitSumReport",
@@ -585,30 +585,43 @@ def weight_orbit(host: Graph,
     group of the host, sorted by entries.  The orbit is the closure of the
     function under the group's generators, each image a tuple of value
     indices per vertex on which generator p acts as fn∘p, as ``translate``
-    does.  Raises ``ResourceLimitError`` once more than ``ELEMENT_CAP``
-    images have been built."""
+    does.
+
+    The closure builds exactly (orbit size) * (generator count) images.
+    The orbit size is the group order over the order of the function's
+    stabilizer, the automorphisms that keep every weight, so a closure
+    that would build more than ``ELEMENT_CAP`` images raises
+    ``ResourceLimitError`` before it builds any."""
     if fn.graph != host:
         raise PreconditionError("weight function lives on a different graph")
-    generators = automorphisms(host).generators
+    group = automorphisms(host)
+    generators = group.generators
+    weights = dict(fn.entries)
+    start_colors = [weights.get(v, 0) for v in range(host.n)]
+    stabilizer_order, _ = _chain(host, _refined(host, start_colors))
+    size = group.order // stabilizer_order
+    images = size * len(generators)
+    if images > ELEMENT_CAP:
+        raise ResourceLimitError(
+            f"the weight orbit holds {size} functions; closing it under "
+            f"{len(generators)} generators would build {images} images, "
+            f"more than {ELEMENT_CAP}", limit=ELEMENT_CAP)
     values = [0, *fn.values_used]
     index = {w: i for i, w in enumerate(values)}
-    start = tuple(index[fn.value(v)] for v in range(host.n))
+    start = tuple(index[w] for w in start_colors)
     seen = {start}
     queue = [start]
-    built = 0
-    while queue:
+    while queue and len(seen) <= size:
         vec = queue.pop()
         for p in generators:
-            built += 1
-            if built > ELEMENT_CAP:
-                raise ResourceLimitError(
-                    f"weight orbit closure built {ELEMENT_CAP} images and "
-                    f"found {len(seen)} distinct ones, without closing",
-                    limit=ELEMENT_CAP)
             img = tuple(map(vec.__getitem__, p))
             if img not in seen:
                 seen.add(img)
                 queue.append(img)
+    if len(seen) != size:
+        raise VerificationError(
+            f"the weight orbit closure found {len(seen)} functions where "
+            f"the orbit-stabilizer count is {size}")
     family = [WeightFunction(host, {v: values[i] for v, i in enumerate(vec)
                                     if i})
               for vec in seen]

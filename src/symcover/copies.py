@@ -1,8 +1,16 @@
 """Enumeration of subgraph-copy footprints.
 
 A footprint of a pattern K in a host G is the vertex set of a (not
-necessarily induced) subgraph of G isomorphic to K.  Distinct embeddings
-with the same image collapse to one footprint.
+necessarily induced) subgraph of G isomorphic to K.
+
+The matcher places K's vertices in one fixed order.  Two vertices of K
+are twins when they share their open or their closed neighborhood, and
+swapping them is an automorphism of K, so of the embeddings that differ
+by swaps of twins it keeps only the one whose images increase along each
+twin class in that order.  Each copy keeps at least one embedding (one
+when the twins generate Aut(K), as for paths on three vertices, stars,
+tailed stars and complete graphs), and distinct copies on one vertex set
+still collapse to one footprint.
 """
 from __future__ import annotations
 
@@ -53,35 +61,76 @@ class CopyFamily:
 def _match_order(g: Graph) -> list[int]:
     """Vertices ordered for the backtracking matcher: start at a
     maximum-degree vertex, then always prefer vertices with the most
-    already-ordered neighbors (degree, then id, as tie breaks)."""
+    already-ordered neighbors (degree, then id, as tie breaks).
+
+    Each unplaced vertex keeps one packed key, placed neighbors * n**2 +
+    degree * n + (n - 1 - v), whose largest value is the next pick; placing
+    a vertex bumps the keys of its unplaced neighbors."""
+    n = g.n
     rows = g.rows
-    remaining = set(range(g.n))
+    nn = n * n
+    keys = [row.bit_count() * n + n - 1 - v for v, row in enumerate(rows)]
     order: list[int] = []
     placed = 0
-    while remaining:
-        best = max(remaining, key=lambda v: (
-            (rows[v] & placed).bit_count(), rows[v].bit_count(), -v))
+    for _ in range(n):
+        best = n - 1 - max(keys) % n
         order.append(best)
-        remaining.discard(best)
+        keys[best] = -1
         placed |= 1 << best
+        for w in bits_of(rows[best] & ~placed):
+            keys[w] += nn
     return order
 
 
 def _back_edges(g: Graph, order: list[int]) -> list[list[int]]:
     """For each position of ``order``, the earlier positions holding
-    neighbors of its vertex."""
-    return [[j for j in range(idx) if g.has_edge(u, order[j])]
-            for idx, u in enumerate(order)]
+    neighbors of its vertex, ascending."""
+    rows = g.rows
+    pos = [0] * g.n
+    for idx, u in enumerate(order):
+        pos[u] = idx
+    back: list[list[int]] = [[] for _ in order]
+    for j, u in enumerate(order):
+        for w in bits_of(rows[u]):
+            if pos[w] > j:
+                back[pos[w]].append(j)
+    return back
 
 
-def _embed(hrows, back, elig, leaf) -> bool:
+def _twin_order(g: Graph, order: list[int]) -> list[int]:
+    """For each position of ``order``, the previous position holding a twin
+    of its vertex, or -1.  Twins share their open neighborhood or their
+    closed one; swapping two twins is an automorphism, and a vertex has
+    twins of at most one kind (an open twin is not adjacent to it, a
+    closed twin is)."""
+    rows = g.rows
+    last: dict[int, int] = {}
+    above = []
+    for idx, u in enumerate(order):
+        j = -1
+        # open keys are >= 0 and closed keys < 0, so the kinds never meet
+        for key in (rows[u], ~(rows[u] | 1 << u)):
+            j = last.get(key, j)
+            last[key] = idx
+        above.append(j)
+    return above
+
+
+def _embed(hrows, back, elig, leaf, above=None) -> bool:
     """Backtracking embedding search.  Position idx takes an unused host
     vertex of ``elig[idx]`` adjacent to the images of the positions in
-    ``back[idx]``.  ``leaf(used, images)`` runs at each complete embedding
-    (``used`` is the image mask); the search stops, returning True, as
-    soon as it returns True."""
+    ``back[idx]`` and, when ``above`` names an earlier position
+    ``above[idx] >= 0``, above that position's image.  ``leaf(used,
+    images)`` runs at each complete embedding (``used`` is the image
+    mask); the search stops, returning True, as soon as it returns True.
+
+    ``above`` from ``_twin_order`` keeps, of the embeddings that differ by
+    swaps of the pattern's twins, the one whose images increase along each
+    twin class: one embedding per copy up to twin swaps."""
     k = len(elig)
     images = [0] * k
+    if above is None:
+        above = [-1] * k
 
     def place(idx: int, used: int) -> bool:
         if idx == k:
@@ -91,10 +140,15 @@ def _embed(hrows, back, elig, leaf) -> bool:
             cand &= hrows[images[j]]
             if not cand:
                 return False
-        for x in bits_of(cand):
-            images[idx] = x
-            if place(idx + 1, used | 1 << x):
+        j = above[idx]
+        if j >= 0:
+            cand &= -(2 << images[j])
+        while cand:
+            low = cand & -cand
+            images[idx] = low.bit_length() - 1
+            if place(idx + 1, used | low):
                 return True
+            cand ^= low
         return False
 
     return place(0, 0)
@@ -128,7 +182,8 @@ def _run_matcher(pattern: Graph, host: Graph, *, first_only: bool,
                 f"footprint count exceeds the cap {cap}", limit=cap)
         return first_only
 
-    _embed(hrows, _back_edges(pattern, order), elig, leaf)
+    _embed(hrows, _back_edges(pattern, order), elig, leaf,
+           _twin_order(pattern, order))
     return results
 
 

@@ -20,7 +20,10 @@ level, and the same closure, run on the generators, gives the vertex
 orbits.
 
 One group is cached per graph: its exact order, its generators and the
-orbit partition that ``orbits`` reads.  No element list is kept.
+orbit partition that ``orbits`` reads.  No element list is kept.  The
+same chain, started from a coloring refined from other starting classes,
+gives the order of the subgroup that keeps those classes; ``checks``
+sizes weight orbits that way.
 """
 from __future__ import annotations
 
@@ -49,8 +52,14 @@ def refine_colors(g: Graph) -> tuple[int, ...]:
     """Equitable vertex coloring: start from degrees and split classes by
     the multiset of neighbor colors until stable.  The numbering depends
     only on the isomorphism class, not the labeling."""
+    return _refined(g, [g.degree(v) for v in range(g.n)])
+
+
+def _refined(g: Graph, colors) -> tuple[int, ...]:
+    """The equitable coloring that ``refine_colors`` reaches from the
+    starting ``colors`` (any mutually comparable values, one per vertex).
+    Every automorphism that keeps the starting colors keeps the result."""
     n = g.n
-    colors = [g.degree(v) for v in range(n)]
     while True:
         sigs = [
             (colors[v], tuple(sorted(colors[u] for u in bits_of(g.rows[v]))))
@@ -96,7 +105,18 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 @lru_cache(maxsize=4096)
 def _automorphism_group(g: Graph) -> AutomorphismGroup:
-    """The whole group, uncapped: orbits need only its generators.
+    """The whole group, uncapped: orbits need only its generators."""
+    if g.n > VERTEX_CAP:
+        raise ResourceLimitError(
+            f"automorphism engine supports at most {VERTEX_CAP} vertices, "
+            f"got {g.n}", limit=VERTEX_CAP)
+    return AutomorphismGroup(g.n, *_chain(g, refine_colors(g)))
+
+
+def _chain(g: Graph, colors) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The exact order and generators of the group of automorphisms of g
+    that keep each vertex in its class of the equitable coloring
+    ``colors``.
 
     Level t runs one pinned search per candidate image of b_t that the
     level's searched witnesses do not yet reach, and adds each witness it
@@ -105,11 +125,6 @@ def _automorphism_group(g: Graph) -> AutomorphismGroup:
     the deeper levels' they generate that stabilizer, and those of all
     levels generate the group."""
     n = g.n
-    if n > VERTEX_CAP:
-        raise ResourceLimitError(
-            f"automorphism engine supports at most {VERTEX_CAP} vertices, "
-            f"got {n}", limit=VERTEX_CAP)
-    colors = refine_colors(g)
     rows = g.rows
     # the base is the match order, so the pinned vertices are a prefix of it
     order, back, elig = _color_search(g, colors, colors)
@@ -141,7 +156,7 @@ def _automorphism_group(g: Graph) -> AutomorphismGroup:
         size *= reached.bit_count()
         elig[t] = 1 << i
         fixed |= 1 << i
-    return AutomorphismGroup(n, size, tuple(generators))
+    return size, tuple(generators)
 
 
 def _close(mask: int, gens) -> int:

@@ -64,6 +64,30 @@ def brute_footprints(pattern: Graph, host: Graph) -> list[frozenset[int]]:
     return sorted(found, key=sorted)
 
 
+def reference_match_order(g: Graph) -> list[int]:
+    """The footprint matcher's vertex order by its definition: start at a
+    maximum-degree vertex, then always take the vertex with the most
+    already-ordered neighbors (degree, then lowest id, as tie breaks)."""
+    rows = g.rows
+    remaining = set(range(g.n))
+    order: list[int] = []
+    placed = 0
+    while remaining:
+        best = max(remaining, key=lambda v: (
+            (rows[v] & placed).bit_count(), rows[v].bit_count(), -v))
+        order.append(best)
+        remaining.discard(best)
+        placed |= 1 << best
+    return order
+
+
+def reference_back_edges(g: Graph, order: list[int]) -> list[list[int]]:
+    """For each position of ``order``, the earlier positions holding
+    neighbors of its vertex, by one adjacency test per pair."""
+    return [[j for j in range(idx) if g.has_edge(u, order[j])]
+            for idx, u in enumerate(order)]
+
+
 def brute_min_hitting(family, n: int) -> tuple[int, tuple[int, ...]]:
     """Smallest set meeting every member of `family`, first in lex order."""
     sets = [frozenset(f) for f in family]

@@ -4,6 +4,7 @@ containment, neighborhood profiles, expansion, and weight systems."""
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -34,6 +35,7 @@ from symcover.errors import (
     NotAHittingSetError,
     PreconditionError,
     ResourceLimitError,
+    VerificationError,
     WeightConstructionError,
 )
 from symcover.graphs import Graph, disjoint_union, generate, induced_subgraph
@@ -404,6 +406,10 @@ class TestWeightFunction:
                               "total": "3/2"}
 
 
+def _complete_bipartite(m: int) -> Graph:
+    return Graph(2 * m, [(u, v) for u in range(m) for v in range(m, 2 * m)])
+
+
 class TestWeightOrbit:
     def test_single_vertex_on_a_cycle(self):
         cycle = generate("cycle:5")
@@ -434,10 +440,12 @@ class TestWeightOrbit:
             assert weight_orbit(host, fn) == want
 
     def test_group_above_the_cap_with_a_small_orbit(self):
-        # 10! = 3,628,800 automorphisms, 10 images
-        k10 = generate("complete:10")
-        family = weight_orbit(k10, WeightFunction(k10, {0: 1}))
-        assert family == tuple(WeightFunction(k10, {v: 1}) for v in range(10))
+        # 9! = 362,880 and 10! = 3,628,800 automorphisms, 9 and 10 images
+        for n in (9, 10):
+            kn = generate(f"complete:{n}")
+            family = weight_orbit(kn, WeightFunction(kn, {0: 1}))
+            assert family == tuple(WeightFunction(kn, {v: 1})
+                                   for v in range(n))
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(symcover.checks, "ELEMENT_CAP", 20)
@@ -445,6 +453,35 @@ class TestWeightOrbit:
         with pytest.raises(ResourceLimitError) as info:
             weight_orbit(host, WeightFunction(host, {0: 1, 1: 2}))
         assert info.value.limit == 20
+
+    def test_orbit_of_a_group_above_the_cap(self):
+        # K(6,6) has 1,036,800 automorphisms; the pair weight has 3,600
+        # images
+        host = _complete_bipartite(6)
+        assert len(weight_orbit(host, build_pair_weight(host, 0, 6, 3))) \
+            == 3600
+
+    def test_oversized_orbit_refused_before_the_closure(self):
+        # orbit-stabilizer puts this orbit near 10**20 functions
+        host = _complete_bipartite(32)
+        fn = build_pair_weight(host, 0, 32, 16)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as info:
+            weight_orbit(host, fn)
+        assert time.perf_counter() - start < 2
+        assert info.value.limit == symcover.checks.ELEMENT_CAP
+
+    def test_closure_checked_against_the_orbit_count(self, monkeypatch):
+        chain = symcover.checks._chain
+
+        def doubled(g, colors):
+            order, generators = chain(g, colors)
+            return 2 * order, generators
+
+        monkeypatch.setattr(symcover.checks, "_chain", doubled)
+        host = petersen()
+        with pytest.raises(VerificationError, match="orbit-stabilizer"):
+            weight_orbit(host, WeightFunction(host, {0: 1}))
 
 
 class TestWeightedSystem:

@@ -7,17 +7,32 @@ import random
 import pytest
 
 from conftest import petersen, random_connected_graph
-from oracles import brute_footprints
+from oracles import (brute_automorphisms, brute_footprints,
+                     reference_back_edges, reference_match_order)
 from symcover.errors import PreconditionError, ResourceLimitError
-from symcover.graphs import Graph, generate
+from symcover.graphs import Graph, disjoint_union, generate
 from symcover.copies import (
     FOOTPRINT_CAP,
     CopyFamily,
+    _back_edges,
+    _embed,
+    _match_order,
+    _twin_order,
     contains_copy,
     enumerate_footprints,
     footprints_of,
 )
 from symcover.symmetry import automorphisms
+
+# patterns with twin classes: vertices that share their open or their
+# closed neighborhood, whose swaps the matcher breaks
+TWIN_PATTERNS = (
+    generate("tailed-star:4"), generate("complete:4"),
+    generate("cocktail:6"),
+    Graph(5, [(u, v) for u in range(2) for v in range(2, 5)]),  # K(2,3)
+    Graph(3), generate("complete:2"),
+    disjoint_union(generate("path:3"), Graph(2)),
+)
 
 
 def assert_matches_oracle(pattern: Graph, host: Graph):
@@ -47,10 +62,12 @@ class TestEnumeration:
 
     def test_matches_oracle_on_fixed_pairs(self):
         hosts = [generate("cycle:6"), generate("complete:5"),
-                 generate("cocktail:6"), generate("tailed-star:4")]
+                 generate("complete:6"), generate("cocktail:6"),
+                 generate("tailed-star:4"),
+                 Graph(7, [(u, v) for u in range(3) for v in range(3, 7)])]
         patterns = [generate("complete:3"), generate("path:3"),
                     generate("path:4"), generate("cycle:4"),
-                    generate("tailed-star:2")]
+                    generate("tailed-star:2"), *TWIN_PATTERNS]
         for host in hosts:
             for pattern in patterns:
                 assert_matches_oracle(pattern, host)
@@ -62,6 +79,31 @@ class TestEnumeration:
         for _ in range(30):
             host = random_connected_graph(rng, rng.randrange(4, 8))
             assert_matches_oracle(rng.choice(patterns), host)
+
+    def test_twin_patterns_match_oracle_on_random_hosts(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randrange(3, 8)
+            density = rng.random()
+            host = Graph(n, [(u, v) for u in range(n)
+                             for v in range(u + 1, n)
+                             if rng.random() < density])
+            assert_matches_oracle(rng.choice(TWIN_PATTERNS), host)
+
+    def test_one_embedding_per_copy_up_to_twin_swaps(self):
+        # the twins generate the whole group of the first four patterns;
+        # path:4 has no twins, and the swaps within the 4-cycle's two
+        # diagonal pairs make 4 of its 8 automorphisms
+        host = petersen()
+        for spec, kept in (("path:3", 1), ("tailed-star:3", 1),
+                           ("complete:3", 1), ("tailed-star:4", 1),
+                           ("path:4", 2), ("cycle:4", 2)):
+            pattern = generate(spec)
+            copies, rest = divmod(_count_embeddings(pattern, host, False),
+                                  len(brute_automorphisms(pattern)))
+            assert rest == 0
+            assert _count_embeddings(pattern, host, True) == copies * kept, \
+                spec
 
     def test_footprints_closed_under_automorphisms(self):
         host = petersen()
@@ -75,6 +117,46 @@ class TestEnumeration:
     def test_deterministic_order(self):
         family = footprints_of(generate("complete:3"), generate("complete:5"))
         assert list(family.footprints) == sorted(family.footprints)
+
+
+def _count_embeddings(pattern: Graph, host: Graph, twins: bool) -> int:
+    """Complete embeddings the matcher visits, with or without the
+    pattern's twin order."""
+    order = _match_order(pattern)
+    elig = [(1 << host.n) - 1] * pattern.n
+    count = 0
+
+    def leaf(used, images):
+        nonlocal count
+        count += 1
+        return False
+
+    _embed(host.rows, _back_edges(pattern, order), elig, leaf,
+           _twin_order(pattern, order) if twins else None)
+    return count
+
+
+class TestMatchPlan:
+    def test_matches_the_reference_definitions(self):
+        rng = random.Random(41)
+        for n in range(1, 65):
+            for density in (0.05, 0.3, 0.8):
+                g = Graph(n, [(u, v) for u in range(n)
+                              for v in range(u + 1, n)
+                              if rng.random() < density])
+                order = _match_order(g)
+                assert order == reference_match_order(g)
+                assert _back_edges(g, order) == reference_back_edges(g, order)
+
+    def test_twin_positions(self):
+        # tailed-star:4: center 0, rays 1..4, pendant 5 on ray 1; the rays
+        # 2, 3, 4 share the neighborhood {0}
+        pattern = generate("tailed-star:4")
+        order = _match_order(pattern)
+        above = _twin_order(pattern, order)
+        rays = [order.index(v) for v in (2, 3, 4)]
+        assert [above[i] for i in sorted(rays)] == [-1, *sorted(rays)[:2]]
+        assert sum(j >= 0 for j in above) == 2
 
 
 class TestLimitsAndErrors:
@@ -107,6 +189,18 @@ class TestContainsCopy:
     def test_negative(self):
         assert not contains_copy(generate("complete:3"), petersen())
         assert not contains_copy(generate("cycle:4"), petersen())
+
+    def test_agrees_with_the_family(self):
+        rng = random.Random(37)
+        hosts = [generate("cycle:6"), generate("cocktail:6"), petersen()]
+        hosts += [random_connected_graph(rng, rng.randrange(4, 9))
+                  for _ in range(12)]
+        patterns = TWIN_PATTERNS + (generate("path:4"), generate("cycle:4"),
+                                    generate("complete:3"))
+        for host in hosts:
+            for pattern in patterns:
+                assert contains_copy(pattern, host) == \
+                    bool(enumerate_footprints(pattern, host))
 
     def test_masks(self):
         family = footprints_of(generate("complete:3"), generate("complete:4"))
