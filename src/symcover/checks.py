@@ -59,6 +59,14 @@ def _as_mask(vertices, n: int, what: str) -> int:
     return mask
 
 
+def _require_hit(masks, x_mask: int) -> None:
+    """Raise NotAHittingSetError naming the lexicographically least
+    footprint that no vertex of ``x_mask`` meets."""
+    missed = [tuple(bits_of(m)) for m in masks if not m & x_mask]
+    if missed:
+        raise NotAHittingSetError(min(missed))
+
+
 def _orbits_holding_a_footprint(part, masks) -> set[int]:
     """Ids of the orbits holding a whole footprint, i.e. whose induced
     subgraph carries the pattern.  Only its lowest vertex's orbit can hold
@@ -115,16 +123,17 @@ def verify_orbit_sum_bound(pattern: Graph, host: Graph, marked,
     part = orbits(host)
     inter = [(om & x_mask).bit_count() for om in part.masks]
     sizes = [len(o) for o in part.orbits]
+    _require_hit(family.masks, x_mask)
     rows = []
-    for fp, m in zip(family.footprints, family.masks()):
-        if not m & x_mask:
-            raise NotAHittingSetError(fp)
+    for m in family.masks:
+        fp = tuple(bits_of(m))
         total = Fraction(0)
         for oid in {part.orbit_of[v] for v in fp}:
             if inter[oid]:
                 in_f = (part.masks[oid] & m).bit_count()
                 total += Fraction(in_f * inter[oid], sizes[oid])
         rows.append((fp, total))
+    rows.sort()  # the footprints are distinct, so no sums are compared
     minimum = min((v for _, v in rows), default=None)
     tight = tuple(fp for fp, v in rows if v == 1)
     holds = minimum is None or minimum >= 1
@@ -189,7 +198,7 @@ def check_extremal_boundary(pattern: Graph, host: Graph,
                             cap: int = FOOTPRINT_CAP,
                             node_budget: int = NODE_BUDGET) -> BoundaryReport:
     family = footprints_of(pattern, host, cap=cap)
-    if not family.footprints:
+    if not family.masks:
         raise PreconditionError(
             "host contains no copy of the pattern; boundary conditions "
             "need a nonempty footprint family")
@@ -211,10 +220,9 @@ def check_extremal_boundary(pattern: Graph, host: Graph,
     meeting_mask = 0
     for oid in meeting:
         meeting_mask |= part.masks[oid]
-    masks = family.masks()
-    cond2_fail = tuple(
-        fp for fp, fm in zip(family.footprints, masks) if fm & ~meeting_mask)
-    held = _orbits_holding_a_footprint(part, masks)
+    cond2_fail = tuple(sorted(tuple(bits_of(fm)) for fm in family.masks
+                              if fm & ~meeting_mask))
+    held = _orbits_holding_a_footprint(part, family.masks)
     cond3_fail = tuple(oid for oid in meeting if oid not in held)
     return BoundaryReport(
         pattern_order=m,
@@ -265,10 +273,7 @@ def check_orbit_density(pattern: Graph, host: Graph, marked=None,
         x = tuple(plain.witness)
     else:
         x = tuple(sorted(set(marked)))
-        x_mask = _as_mask(x, host.n, "marked set")
-        for fp, fm in zip(family.footprints, family.masks()):
-            if not fm & x_mask:
-                raise NotAHittingSetError(fp)
+        _require_hit(family.masks, _as_mask(x, host.n, "marked set"))
         if len(x) != plain.value:
             raise PreconditionError(
                 f"marked set has size {len(x)} but the minimum is "
@@ -280,7 +285,7 @@ def check_orbit_density(pattern: Graph, host: Graph, marked=None,
     part = orbits(host)
     x_mask = _as_mask(x, host.n, "marked set")
     touched = 0
-    for fm in family.masks():
+    for fm in family.masks:
         touched |= fm
     rows = []
     holds = True
@@ -348,7 +353,7 @@ def check_orbit_pattern_containment(
         return OrbitContainmentReport(preconditions=pre, applicable=False)
     part = orbits(host)
     held = _orbits_holding_a_footprint(
-        part, footprints_of(pattern, host, cap).masks())
+        part, footprints_of(pattern, host, cap).masks)
     rows = tuple((oid, oid in held) for oid in range(part.count))
     first_fail = next((oid for oid, ok in rows if not ok), None)
     return OrbitContainmentReport(

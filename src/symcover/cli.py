@@ -45,7 +45,10 @@ def _load_graph(arg: str) -> Graph:
         raise GraphParseError(
             f"cannot interpret {arg!r}: not a g6: literal, a family spec, "
             f"or a readable file")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphParseError(f"cannot read {arg!r}: {exc}") from None
     content = [line.strip() for line in text.splitlines()]
     content = [line for line in content if line and not line.startswith("#")]
     if len(content) == 1:

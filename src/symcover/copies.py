@@ -1,7 +1,9 @@
 """Enumeration of subgraph-copy footprints.
 
 A footprint of a pattern K in a host G is the vertex set of a (not
-necessarily induced) subgraph of G isomorphic to K.
+necessarily induced) subgraph of G isomorphic to K.  A ``CopyFamily``
+keeps the footprints as ascending vertex masks; vertex tuples are built
+only where a report or an error prints a footprint.
 
 The matcher places K's vertices in one fixed order.  Two vertices of K
 are twins when they share their open or their closed neighborhood, and
@@ -28,34 +30,27 @@ FOOTPRINT_CAP = 10**6
 
 @dataclass(frozen=True)
 class CopyFamily:
-    """All footprints of one pattern in one host, sorted, each a sorted
-    vertex tuple of size exactly ``pattern_order``."""
+    """All footprints of one pattern in one host as vertex masks, strictly
+    ascending, each with exactly ``pattern_order`` bits.  ``footprints``
+    is the view a report prints: the vertex tuples, sorted."""
 
     pattern_order: int
-    footprints: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        for f in self.footprints:
-            if len(f) != self.pattern_order:
+        # starting from -1 refuses a negative mask too
+        for prev, m in zip((-1, *self.masks), self.masks):
+            if m <= prev or m.bit_count() != self.pattern_order:
                 raise ValueError(
-                    f"footprint {f} has size {len(f)}, "
-                    f"expected {self.pattern_order}")
+                    f"footprint mask {m:#b} is out of order or has other "
+                    f"than {self.pattern_order} bits")
 
     def __len__(self):
-        return len(self.footprints)
+        return len(self.masks)
 
-    def masks(self) -> tuple[int, ...]:
-        out = []
-        try:
-            for f in self.footprints:
-                m = 0
-                for v in f:
-                    m |= 1 << v
-                out.append(m)
-        except ValueError:  # a negative shift; no check on the happy path
-            raise PreconditionError(
-                f"footprint {f} has a negative vertex") from None
-        return tuple(out)
+    @property
+    def footprints(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(tuple(bits_of(m)) for m in self.masks))
 
 
 def _match_order(g: Graph) -> list[int]:
@@ -189,14 +184,13 @@ def _run_matcher(pattern: Graph, host: Graph, *, first_only: bool,
 
 def enumerate_footprints(pattern: Graph, host: Graph,
                          cap: int = FOOTPRINT_CAP) -> CopyFamily:
-    """All footprints of ``pattern`` in ``host``, deterministically sorted.
+    """All footprints of ``pattern`` in ``host``, as ascending masks.
 
     Raises ResourceLimitError when the number of distinct footprints would
     exceed ``cap``; never returns a truncated family.
     """
     masks = _run_matcher(pattern, host, first_only=False, cap=cap)
-    footprints = sorted(tuple(bits_of(m)) for m in masks)
-    return CopyFamily(pattern_order=pattern.n, footprints=tuple(footprints))
+    return CopyFamily(pattern_order=pattern.n, masks=tuple(sorted(masks)))
 
 
 @lru_cache(maxsize=8192)

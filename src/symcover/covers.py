@@ -292,12 +292,11 @@ def min_hitting_set(family: CopyFamily, n: int | None = None,
                     node_budget: int = NODE_BUDGET) -> CoverSolution:
     """Smallest vertex set meeting every footprint of the family.  With
     ``n``, a footprint vertex outside 0..n-1 is a ``PreconditionError``."""
-    if n is not None:
-        for f in family.footprints:
-            if f and not (0 <= min(f) and max(f) < n):
-                raise PreconditionError(
-                    f"footprint {f} outside 0..{n - 1}")
-    masks = family.masks()
+    masks = family.masks
+    # the masks ascend, so the last one holds the highest vertex
+    if n is not None and masks and masks[-1] >> n:
+        raise PreconditionError(
+            f"footprint {tuple(bits_of(masks[-1]))} outside 0..{n - 1}")
     costs = dict.fromkeys(bits_of(reduce(or_, masks, 0)), 1)
     value, witness_mask, nodes = _solve_cover(masks, costs, node_budget)
     return CoverSolution(value=value, witness=tuple(bits_of(witness_mask)),
@@ -322,7 +321,7 @@ def symmetric_vertex_representativity(
     solves an exact weighted cover over orbits (weight = orbit size).
     """
     family = footprints_of(pattern, host, cap=cap)
-    if not family.footprints:
+    if not family.masks:
         return CoverSolution(value=0, witness=(), nodes_explored=0,
                              orbit_ids=())
     return min_orbit_cover(family, orbits(host), node_budget)
@@ -331,19 +330,21 @@ def symmetric_vertex_representativity(
 def min_orbit_cover(family: CopyFamily, part: OrbitPartition,
                     node_budget: int = NODE_BUDGET) -> CoverSolution:
     """Least total size of a union of the given orbits meeting every
-    footprint of the family.  A vertex outside the partition, negative
-    ones included, fails the dict lookup and is a ``PreconditionError``."""
-    bit = {v: 1 << oid for v, oid in enumerate(part.orbit_of)}
+    footprint of the family.  A vertex outside the partition is a
+    ``PreconditionError``."""
+    masks, orbit_of = family.masks, part.orbit_of
+    if masks and masks[-1] >> len(orbit_of):
+        raise PreconditionError(
+            f"footprint {tuple(bits_of(masks[-1]))} has vertex "
+            f"{masks[-1].bit_length() - 1} outside 0..{len(orbit_of) - 1}")
     orbit_sets = set()
-    try:
-        for f in family.footprints:
-            ids = 0
-            for v in f:
-                ids |= bit[v]
-            orbit_sets.add(ids)
-    except KeyError:
-        raise PreconditionError(f"footprint {f} has vertex {v} outside "
-                                f"0..{len(bit) - 1}") from None
+    for m in masks:
+        ids = 0
+        while m:  # take the lowest vertex's orbit, then drop all of it
+            oid = orbit_of[(m & -m).bit_length() - 1]
+            ids |= 1 << oid
+            m &= ~part.masks[oid]
+        orbit_sets.add(ids)
     costs = {oid: len(part.orbits[oid]) for oid in range(part.count)}
     value, ids_mask, nodes = _solve_cover(sorted(orbit_sets), costs,
                                           node_budget)
@@ -405,9 +406,7 @@ def _in_singleton_orbits(pattern: Graph, host: Graph, cap: int,
     for mask in part.masks:
         if not mask & mask - 1:
             alone |= mask
-    return all(alone >> v & 1
-               for f in footprints_of(pattern, host, cap).footprints
-               for v in f)
+    return not reduce(or_, footprints_of(pattern, host, cap).masks, 0) & ~alone
 
 
 @lru_cache(maxsize=4096)

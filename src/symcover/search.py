@@ -268,15 +268,14 @@ def _reverify(pattern: Graph, g6: str, verdict: str,
     if again != verdict:
         raise VerificationError(f"{g6}: {verdict}, re-solved {again}")
     for name, sol in (("plain", plain), ("invariant", invariant)):
-        marked = set(sol.witness)
-        if len(marked) != sol.value or any(marked.isdisjoint(f)
-                                           for f in family.footprints):
+        marked = sum(1 << v for v in set(sol.witness))
+        if marked.bit_count() != sol.value or any(not m & marked
+                                                  for m in family.masks):
             raise VerificationError(
                 f"{g6}: the {name} witness {sol.witness} misses a "
                 f"footprint or differs in size from its value {sol.value}")
-    union = set(invariant.witness)
-    if any(0 < len(union.intersection(orbit)) < len(orbit)
-           for orbit in part.orbits):
+    union = sum(1 << v for v in set(invariant.witness))
+    if any(union & om not in (0, om) for om in part.masks):
         raise VerificationError(
             f"{g6}: the invariant witness {invariant.witness} is not a "
             f"union of orbits")
@@ -286,7 +285,7 @@ def _scan_host(pattern: Graph, g: Graph, g6: str, cap: int,
                node_budget: int) -> tuple[str, int | None]:
     """One cover-scan host's record verdict and, if it is extremal (and so
     re-verified from its graph6 record), its plain cover value."""
-    if not footprints_of(pattern, g, cap).footprints:
+    if not footprints_of(pattern, g, cap).masks:
         return "no-copies", None
     report = extremality_report(pattern, g, cap, node_budget)
     verdict = _verdict(report.plain, report.invariant)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,7 +31,7 @@ from symcover.checks import (
     WeightFunction,
 )
 from symcover.copies import contains_copy, footprints_of
-from symcover.covers import vertex_representativity
+from symcover.covers import extremality_report, vertex_representativity
 from symcover.errors import (
     NotAHittingSetError,
     PreconditionError,
@@ -40,6 +41,13 @@ from symcover.errors import (
 )
 from symcover.graphs import Graph, disjoint_union, generate, induced_subgraph
 from symcover.symmetry import automorphisms, orbits
+
+
+def two_triangles() -> Graph:
+    """Triangles (0, 3, 4) and (1, 2, 3) and a lone vertex 5.  The first
+    triangle comes first as a vertex tuple, the second as a mask (14 < 25),
+    so a list in mask order shows here."""
+    return Graph(6, [(0, 3), (0, 4), (3, 4), (1, 2), (1, 3), (2, 3)])
 
 
 class TestOrbitSumBound:
@@ -62,6 +70,20 @@ class TestOrbitSumBound:
             verify_orbit_sum_bound(generate("complete:3"),
                                    generate("complete:4"), (0,))
         assert info.value.footprint == (1, 2, 3)
+
+    def test_missed_footprint_is_the_lexicographically_least(self):
+        with pytest.raises(NotAHittingSetError) as info:
+            verify_orbit_sum_bound(generate("complete:3"), two_triangles(),
+                                   (5,))
+        assert info.value.footprint == (0, 3, 4)
+
+    def test_rows_in_vertex_tuple_order(self):
+        report = verify_orbit_sum_bound(generate("complete:3"),
+                                        two_triangles(), (3,))
+        assert report.per_footprint == (((0, 3, 4), 1), ((1, 2, 3), 1))
+        assert report.tight_footprints == ((0, 3, 4), (1, 2, 3))
+        assert [row["footprint"] for row in report.to_doc()["per_footprint"]
+                ] == [[0, 3, 4], [1, 2, 3]]
 
     def test_vertex_out_of_range(self, k5):
         with pytest.raises(PreconditionError):
@@ -105,6 +127,20 @@ class TestBoundaryConditions:
         assert report.condition1_failures == ()
         assert report.condition2_failures == ()
         assert report.condition3_failures == ()
+
+    def test_escaping_footprints_in_vertex_tuple_order(self, monkeypatch):
+        # a report claimed extremal with the lone vertex 5 as its witness:
+        # both triangles escape the one orbit the witness meets
+        pattern, host = generate("complete:3"), two_triangles()
+        real = extremality_report(pattern, host)
+        fake = replace(real, plain=replace(real.plain, witness=(5,)),
+                       is_extremal=True)
+        monkeypatch.setattr(symcover.checks, "extremality_report",
+                            lambda *args: fake)
+        report = check_extremal_boundary(pattern, host)
+        assert report.condition2_failures == ((0, 3, 4), (1, 2, 3))
+        assert report.to_doc()["condition2_escaping_footprints"] == [
+            [0, 3, 4], [1, 2, 3]]
 
     def test_not_applicable_off_the_boundary(self):
         report = check_extremal_boundary(generate("complete:3"),
@@ -154,6 +190,12 @@ class TestOrbitDensity:
         with pytest.raises(NotAHittingSetError):
             check_orbit_density(generate("complete:3"),
                                 generate("complete:4"), marked=(3,))
+
+    def test_missed_footprint_is_the_lexicographically_least(self):
+        with pytest.raises(NotAHittingSetError) as info:
+            check_orbit_density(generate("complete:3"), two_triangles(),
+                                marked=(5,))
+        assert info.value.footprint == (0, 3, 4)
 
     def test_not_applicable_off_the_boundary(self):
         report = check_orbit_density(generate("complete:3"),
@@ -229,7 +271,7 @@ class TestOrbitCopyTest:
             part = orbits(host)
             for pattern in patterns:
                 held = _orbits_holding_a_footprint(
-                    part, footprints_of(pattern, host).masks())
+                    part, footprints_of(pattern, host).masks)
                 for oid, orbit in enumerate(part.orbits):
                     want = contains_copy(pattern,
                                          induced_subgraph(host, orbit))

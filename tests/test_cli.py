@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +82,29 @@ class TestInfo:
         code, out, err = run(capsys, "info", "no-such-file")
         assert code == 2
         assert "error:" in err
+
+    def test_file_not_utf8_exits_2(self, tmp_path, capsys):
+        # exit 1 would claim that a checked property fails
+        path = tmp_path / "g.g6"
+        path.write_bytes(b"\xff" + emit_graph6(petersen()).encode() + b"\n")
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {str(path)!r}: ")
+        assert "can't decode byte 0xff in position 0" in err
+
+    def test_file_read_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.g6"
+        path.write_text(emit_graph6(petersen()) + "\n")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot read {str(path)!r}: ")
+        assert "Permission denied" in err
 
 
 class TestRepr:

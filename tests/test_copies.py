@@ -10,7 +10,7 @@ from conftest import petersen, random_connected_graph
 from oracles import (brute_automorphisms, brute_footprints,
                      reference_back_edges, reference_match_order)
 from symcover.errors import PreconditionError, ResourceLimitError
-from symcover.graphs import Graph, disjoint_union, generate
+from symcover.graphs import Graph, bits_of, disjoint_union, generate
 from symcover.copies import (
     FOOTPRINT_CAP,
     CopyFamily,
@@ -118,6 +118,26 @@ class TestEnumeration:
         family = footprints_of(generate("complete:3"), generate("complete:5"))
         assert list(family.footprints) == sorted(family.footprints)
 
+    def test_masks_ascend_and_footprints_view_them_sorted(self):
+        # mask order and tuple order differ: (0, 3) has mask 9, (1, 2) 6
+        rng = random.Random(43)
+        patterns = (generate("path:3"), generate("path:4"),
+                    generate("cycle:4"), generate("tailed-star:3"))
+        reordered = 0
+        for _ in range(30):
+            host = random_connected_graph(rng, rng.randrange(4, 9))
+            for pattern in patterns:
+                family = enumerate_footprints(pattern, host)
+                want = [tuple(sorted(f))
+                        for f in brute_footprints(pattern, host)]
+                masks = family.masks
+                assert all(a < b for a, b in zip(masks, masks[1:]))
+                assert masks == tuple(sorted(sum(1 << v for v in f)
+                                             for f in want))
+                assert family.footprints == tuple(want)
+                reordered += [tuple(bits_of(m)) for m in masks] != want
+        assert reordered >= 20
+
 
 def _count_embeddings(pattern: Graph, host: Graph, twins: bool) -> int:
     """Complete embeddings the matcher visits, with or without the
@@ -177,8 +197,21 @@ class TestLimitsAndErrors:
             footprints_of(pattern, host, cap=10)
 
     def test_family_validates_footprint_sizes(self):
-        with pytest.raises(ValueError):
-            CopyFamily(pattern_order=3, footprints=((0, 1),))
+        with pytest.raises(ValueError, match="other than 3 bits"):
+            CopyFamily(pattern_order=3, masks=(0b011,))
+
+    def test_family_refuses_a_negative_mask(self):
+        # -0b11 has two bits, so only its sign gives it away; it gets the
+        # error a wrong size gets, first or after a valid mask
+        for masks in ((-0b11,), (0b11, -0b11)):
+            with pytest.raises(ValueError,
+                               match="out of order or has other than 2 bits"):
+                CopyFamily(pattern_order=2, masks=masks)
+
+    def test_family_refuses_masks_out_of_order(self):
+        for masks in ((0b110, 0b011), (0b011, 0b011)):
+            with pytest.raises(ValueError, match="out of order"):
+                CopyFamily(pattern_order=2, masks=masks)
 
 
 class TestContainsCopy:
@@ -204,4 +237,4 @@ class TestContainsCopy:
 
     def test_masks(self):
         family = footprints_of(generate("complete:3"), generate("complete:4"))
-        assert sorted(family.masks()) == [0b0111, 0b1011, 0b1101, 0b1110]
+        assert family.masks == (0b0111, 0b1011, 0b1101, 0b1110)
