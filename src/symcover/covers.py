@@ -6,8 +6,9 @@ least size of such a set that is additionally a union of automorphism
 orbits.  Both are solved exactly by one branch and bound, ``_CoverSearch``,
 with certified optimality; ties are broken toward the lexicographically
 smallest witness.  The search indexes the sets by bit, so a node is a mask
-of live set indices plus a mask of banned units.  The witness comes from a
-scan over units that searches only outside the optimal cover it holds.
+of live set indices plus a mask of banned units, over sets its callers put
+in search order (``_search_order``).  The witness comes from a scan over
+units that searches only outside the optimal cover it holds.
 
 ``extremality_report`` solves the invariant cover only when some
 footprint vertex shares its orbit with another vertex.  When every
@@ -22,6 +23,7 @@ footprint.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -66,13 +68,12 @@ class _CoverSearch:
     """Branch and bound for minimum-cost covers over bit-indexed sets.
 
     Units are integers with positive costs; every set in the family must
-    contain a chosen unit.  The constructor dedups the sets, sorts them by
-    (size, mask) and drops every set that contains another, which leaves
-    the hitting sets unchanged.  Set i is then bit i of an index mask:
-    ``inc[u]`` is the mask of the sets that contain unit u.  ``meet`` maps
-    a unit mask to the mask of the sets that meet it; the pack bound fills
-    it with the available units of the sets it packs, so it holds at most
-    one entry per subset of a set, and it lives only as long as the search.
+    contain a chosen unit.  Callers pass the sets in search order (distinct, by
+    (size, mask), none containing another), which shapes only the tree.  Set i
+    is bit i of an index mask: ``inc[u]`` is the mask of the sets holding unit
+    u.  ``meet`` maps a unit mask to the mask of the sets that meet it; the
+    pack bound fills it with the available units of the sets it packs, so it
+    holds at most one entry per subset of a set, for one search.
 
     A search node is a mask of live (still unhit) set indices plus a mask
     of banned units.  Choosing u leaves ``live & ~inc[u]``.  Branching
@@ -108,24 +109,21 @@ class _CoverSearch:
     reports the bounds known so far.
     """
 
-    def __init__(self, set_masks, costs: dict[int, int], budget: int):
-        sets = sorted(set(set_masks), key=lambda s: (s.bit_count(), s))
-        if sets and sets[0].bit_count() < sets[-1].bit_count():
-            sets = _drop_supersets(sets)
+    def __init__(self, sets, costs: dict[int, int], budget: int):
         self.sets = sets
         self.costs = costs
         self.budget = budget
         self.nodes = 0
         self.lower = self.upper = None  # reported on a budget stop
         self.all = (1 << len(sets)) - 1
-        units = 0
-        for s in sets:
-            units |= s
-        self.units = units
-        self.inc = [0] * units.bit_length()
-        for i, s in enumerate(sets):
-            for u in bits_of(s):
-                self.inc[u] |= 1 << i
+        self.units = units = reduce(or_, sets, 0)
+        cols = [bytearray(b"0") * len(sets) for _ in range(units.bit_length())]
+        for i, s in enumerate(sets, 1):
+            while s:
+                low = s & -s
+                cols[low.bit_length() - 1][-i] = 49  # digit "1" for set i - 1
+                s ^= low
+        self.inc = [int(col, 2) for col in cols]  # linear time in base 2
         self.meet = {}
         unit_costs = {costs[u] for u in bits_of(units)}
         # the cost all units share, which makes every packed set cost it
@@ -234,7 +232,14 @@ class _CoverSearch:
                 avail ^= low
             return False
 
-        dfs(live, banned, 0, 0)
+        try:
+            dfs(live, banned, 0, 0)
+        except RecursionError:
+            limit = sys.getrecursionlimit()
+            raise ResourceLimitError(
+                f"cover search went deeper than the recursion limit {limit}",
+                limit=limit, best_lower=self.lower,
+                best_upper=self.upper) from None
         self._charge(nodes)
         return best
 
@@ -269,8 +274,11 @@ class _CoverSearch:
         return chosen
 
 
-def _drop_supersets(sets):
-    """The sets, sorted by size, less every one that contains another."""
+def _search_order(sets):
+    """Distinct sets by (size, mask), less each one that contains another."""
+    sets = sorted(sets, key=lambda s: (s.bit_count(), s))
+    if not sets or sets[0].bit_count() == sets[-1].bit_count():
+        return sets
     kept = []
     for s in sets:
         if not any(t & s == t for t in kept):
@@ -278,8 +286,8 @@ def _drop_supersets(sets):
     return kept
 
 
-def _solve_cover(set_masks, costs, budget):
-    search = _CoverSearch(set_masks, costs, budget)
+def _solve_cover(sets, costs, budget):
+    search = _CoverSearch(sets, costs, budget)
     cover = search.optimum()
     if cover is None:
         raise PreconditionError(
@@ -346,7 +354,7 @@ def min_orbit_cover(family: CopyFamily, part: OrbitPartition,
             m &= ~part.masks[oid]
         orbit_sets.add(ids)
     costs = {oid: len(part.orbits[oid]) for oid in range(part.count)}
-    value, ids_mask, nodes = _solve_cover(sorted(orbit_sets), costs,
+    value, ids_mask, nodes = _solve_cover(_search_order(orbit_sets), costs,
                                           node_budget)
     ids = tuple(bits_of(ids_mask))
     members: list[int] = []

@@ -9,6 +9,7 @@ for desk scale without any compiled dependency.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import FamilySpecError, GraphParseError, ResourceLimitError
@@ -516,7 +517,13 @@ def lex_min_order(n: int, rows,
                 return True
         return False
 
-    return None if n and dfs([(0, (1 << n) - 1)]) else best_order
+    try:
+        return None if n and dfs([(0, (1 << n) - 1)]) else best_order
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        raise ResourceLimitError(
+            f"lex-min search on {n} vertices went deeper than the recursion "
+            f"limit {limit}", limit=limit) from None
 
 
 def canonical_graph(g: Graph) -> Graph:

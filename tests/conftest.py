@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -100,6 +102,23 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
         g = Graph(n, sorted(edges))
         if is_connected(g):
             return g
+
+
+@contextmanager
+def frames_left(count: int):
+    """Lower the recursion limit to ``count`` frames above the caller's
+    depth, so a search that recurses deeper stops within milliseconds,
+    and restore the limit after."""
+    # frame 0 runs this body and frame 1 the context manager's __enter__
+    depth, frame = 0, sys._getframe(2)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + count)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,161 @@
+"""Mutants the test suite must kill.
+
+Each mutant replaces one exact text, found exactly once, in one file under
+``src/`` and names the tests that must catch it.  The runner copies
+``src/`` per mutant, applies the replacement there, and runs the named
+tests against the copy.  A mutant is killed when pytest exits 1 (a test
+failed); exit 0 means it survived, and any other code (a collection or
+usage error) proves nothing, so it counts as a failure of the step too.
+An entry whose old text is gone, or found more than once, is stale and
+fails the step: a refactor must carry its mutants along.
+
+Run from anywhere:
+
+    python tests/mutants.py
+
+It prints one line per mutant and exits 1 unless every mutant is killed.
+Standard library only; the tests themselves need pytest.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repo root
+
+
+MUTANTS = (
+    Mutant("chain drops each level's first searched witness",
+           "symcover/symmetry.py",
+           "        generators += searched\n",
+           "        generators += searched[1:]\n",
+           ("tests/test_symmetry.py::TestElements",)),
+    Mutant("twin classes keyed by degree",
+           "symcover/copies.py",
+           "        for key in (rows[u], ~(rows[u] | 1 << u)):\n",
+           "        for key in (rows[u].bit_count(), ~rows[u].bit_count()):\n",
+           ("tests/test_copies.py::TestEnumeration",)),
+    Mutant("missed footprint named by its least mask",
+           "symcover/checks.py",
+           "        raise NotAHittingSetError(min(missed))\n",
+           "        raise NotAHittingSetError(missed[0])\n",
+           ("tests/test_checks.py",)),
+    Mutant("orbit-sum rows left in mask order",
+           "symcover/checks.py",
+           "    rows.sort()",
+           "    rows",
+           ("tests/test_checks.py",)),
+    Mutant("condition-2 failures left in mask order",
+           "symcover/checks.py",
+           "    cond2_fail = tuple(sorted(tuple(bits_of(fm))",
+           "    cond2_fail = tuple((tuple(bits_of(fm))",
+           ("tests/test_checks.py",)),
+    Mutant("footprints viewed in mask order",
+           "symcover/copies.py",
+           "        return tuple(sorted(tuple(bits_of(m)) for m in "
+           "self.masks))\n",
+           "        return tuple(tuple(bits_of(m)) for m in self.masks)\n",
+           ("tests/test_copies.py",)),
+    Mutant("pack bound packs sets sharing an available unit",
+           "symcover/covers.py",
+           "            live &= ~hit\n",
+           "            live &= live - 1\n",
+           ("tests/test_covers.py::TestMinHittingSet",)),
+    Mutant("orbit closure skips the last generator",
+           "symcover/symmetry.py",
+           "        for s in gens:\n",
+           "        for s in gens[:-1]:\n",
+           ("tests/test_symmetry.py",)),
+    Mutant("twin order without closed twins",
+           "symcover/copies.py",
+           "        for key in (rows[u], ~(rows[u] | 1 << u)):\n",
+           "        for key in (rows[u],):\n",
+           ("tests/test_copies.py::TestEnumeration",)),
+    Mutant("orbit cover costs every orbit 1",
+           "symcover/covers.py",
+           "    costs = {oid: len(part.orbits[oid]) for oid in "
+           "range(part.count)}\n",
+           "    costs = {oid: 1 for oid in range(part.count)}\n",
+           ("tests/test_covers.py",)),
+    Mutant("re-verification reads the cached orbits",
+           "symcover/search.py",
+           "from .symmetry import is_vertex_transitive, uncached_orbits\n",
+           "from .symmetry import is_vertex_transitive, "
+           "orbits as uncached_orbits\n",
+           ("tests/test_search.py",)),
+    Mutant("match plan drops each position's last back edge",
+           "symcover/copies.py",
+           "    return back\n",
+           "    return [b[:-1] for b in back]\n",
+           ("tests/test_copies.py::TestMatchPlan",)),
+    Mutant("search order keeps supersets",
+           "symcover/covers.py",
+           "    if not sets or sets[0].bit_count() == sets[-1].bit_count():\n",
+           "    if True:\n",
+           ("tests/test_covers.py::test_search_tree_is_pinned[union-costs]",)),
+    Mutant("search order sorts by mask only",
+           "symcover/covers.py",
+           "    sets = sorted(sets, key=lambda s: (s.bit_count(), s))\n",
+           "    sets = sorted(sets)\n",
+           ("tests/test_covers.py::test_search_tree_is_pinned[union-costs]",)),
+    Mutant("unit index numbers the sets from the wrong end",
+           "symcover/covers.py",
+           "                cols[low.bit_length() - 1][-i] = 49",
+           "                cols[low.bit_length() - 1][i - 1] = 49",
+           ("tests/test_covers.py::"
+            "test_set_up_matches_the_reference_constructor",)),
+)
+
+
+def run(mutant: Mutant, scratch: Path) -> str:
+    """Apply ``mutant`` to a copy of src/ under ``scratch`` and run its
+    tests: "killed", "survived", "stale" or "error (exit N)"."""
+    src = scratch / "src"
+    shutil.copytree(ROOT / "src", src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return "stale"
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    code = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *mutant.tests],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+    return {0: "survived", 1: "killed"}.get(code, f"error (exit {code})")
+
+
+def main() -> int:
+    start = time.perf_counter()
+    bad = 0
+    for mutant in MUTANTS:
+        began = time.perf_counter()
+        with tempfile.TemporaryDirectory() as scratch:
+            verdict = run(mutant, Path(scratch))
+        bad += verdict != "killed"
+        print(f"{verdict:>9}  {time.perf_counter() - began:5.1f} s  "
+              f"{mutant.file}: {mutant.name}", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed in "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

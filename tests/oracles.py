@@ -141,6 +141,29 @@ def brute_min_invariant_cover(footprints, orbits) -> tuple[int, tuple[int, ...]]
     raise AssertionError("the full vertex set must be a cover")
 
 
+def reference_cover_setup(set_masks) -> tuple[list[int], list[int]]:
+    """The cover search's sets and unit index as its constructor built them
+    from raw sets before callers passed them in search order: dedup, sort by
+    (size, mask), drop every set that contains another when sizes differ,
+    and OR bit i into ``inc[u]`` for every unit u of set i."""
+    sets = sorted(set(set_masks), key=lambda s: (s.bit_count(), s))
+    if sets and sets[0].bit_count() < sets[-1].bit_count():
+        kept = []
+        for s in sets:
+            if not any(t & s == t for t in kept):
+                kept.append(s)
+        sets = kept
+    units = 0
+    for s in sets:
+        units |= s
+    inc = [0] * units.bit_length()
+    for i, s in enumerate(sets):
+        for u in range(s.bit_length()):
+            if s >> u & 1:
+                inc[u] |= 1 << i
+    return sets, inc
+
+
 def brute_canonical_edges(g: Graph) -> tuple[tuple[int, int], ...]:
     """Canonical edge set: the one whose column-major upper-triangle bit
     string is lexicographically smallest over all relabelings."""

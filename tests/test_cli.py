@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import circulant, petersen
+from conftest import circulant, frames_left, petersen
 from symcover.cli import _load_graph, main
 from symcover.graphs import _UNARY_KINDS, Graph, emit_graph6, generate
 
@@ -137,6 +137,16 @@ class TestRepr:
             lo, hi = map(int, re.search(r"optimum in \[(\d+), (\d+)\]",
                                         err).groups())
             assert lo <= value <= hi, argv
+
+    def test_recursion_limit_exits_2(self, capsys):
+        # exit 1 would claim that a checked property fails
+        with frames_left(100):
+            code, out, err = run(capsys, "repr", "--pattern", "path:2",
+                                 "--host", "path:300")
+        assert code == 2
+        assert re.fullmatch(r"error: cover search went deeper than the "
+                            r"recursion limit \d+; optimum in \[150, 150\]\n",
+                            err)
 
     def test_orbits_ignore_the_order_cap(self, capsys):
         # |Aut(K13)| = 13!; orbits need only generators

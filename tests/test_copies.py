@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import petersen, random_connected_graph
+from conftest import frames_left, petersen, random_connected_graph
 from oracles import (brute_automorphisms, brute_footprints,
                      reference_back_edges, reference_match_order)
 from symcover.errors import PreconditionError, ResourceLimitError
@@ -105,6 +105,17 @@ class TestEnumeration:
             assert _count_embeddings(pattern, host, True) == copies * kept, \
                 spec
 
+    def test_closed_twins_keep_one_embedding_per_copy(self):
+        # Petersen holds no triangle, so the test above meets no closed
+        # twins.  The twins generate the group of each pattern here: in the
+        # diamond, 0 and 1 are closed twins and 2 and 3 open ones
+        host = generate("complete:6")
+        diamond = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        for pattern, copies in ((generate("complete:3"), 20),
+                                (generate("complete:4"), 15),
+                                (diamond, 15 * 6)):
+            assert _count_embeddings(pattern, host, True) == copies, pattern
+
     def test_footprints_closed_under_automorphisms(self):
         host = petersen()
         family = footprints_of(generate("tailed-star:3"), host)
@@ -195,6 +206,14 @@ class TestLimitsAndErrors:
         assert footprints_of(pattern, host, cap=FOOTPRINT_CAP) is family
         with pytest.raises(ResourceLimitError):
             footprints_of(pattern, host, cap=10)
+
+    def test_recursion_limit_is_a_resource_limit(self):
+        # the matcher recurses once per pattern vertex
+        with frames_left(100), pytest.raises(
+                ResourceLimitError, match="embedding search of 200 positions "
+                "went deeper than the recursion limit") as stop:
+            enumerate_footprints(generate("path:200"), generate("path:220"))
+        assert stop.value.limit < 200
 
     def test_family_validates_footprint_sizes(self):
         with pytest.raises(ValueError, match="other than 3 bits"):

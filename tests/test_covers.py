@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import random
 import re
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import circulant, kneser, petersen, random_connected_graph
+from conftest import (circulant, frames_left, kneser, petersen,
+                      random_connected_graph)
 from oracles import (
     brute_footprints,
     brute_min_hitting,
     brute_min_invariant_cover,
     brute_min_weighted_hitting,
     brute_orbits,
+    reference_cover_setup,
 )
 import symcover.covers
 from symcover.copies import (FOOTPRINT_CAP, CopyFamily, contains_copy,
@@ -24,6 +28,7 @@ from symcover.covers import (
     CoverSolution,
     _CoverSearch,
     _extremality_cached,
+    _search_order,
     _solve_cover,
     extremality_report,
     min_hitting_set,
@@ -230,6 +235,57 @@ class TestMinHittingSet:
         assert search.nodes == nodes
 
 
+def _random_sets(rng: random.Random, units: int, count: int,
+                 sizes: range) -> list[int]:
+    return [sum(1 << u for u in rng.sample(range(units),
+                                           rng.choice(sizes)))
+            for _ in range(count)]
+
+
+def _set_up_cases():
+    """(name, raw sets, whether they are a family's masks) of every shape
+    the cover search is built from."""
+    rng = random.Random(71)
+    yield "empty", [], False
+    yield "one set", [0b1011], False
+    for t in range(6):
+        yield f"one size #{t}", _random_sets(rng, 12, rng.randrange(2, 40),
+                                             range(3, 4)), False
+    for t in range(20):
+        sets = _random_sets(rng, rng.randrange(5, 14), rng.randrange(2, 40),
+                            range(1, 7))
+        # duplicates, and supersets of some sets
+        sets += rng.sample(sets, len(sets) // 3)
+        sets += [s | 1 << rng.randrange(14) for s in rng.sample(sets, 3)]
+        yield f"mixed #{t}", sets, False
+    # units 1-4, 6-8 and 10 lie in no set
+    yield "gaps", [0b1000000001, 0b100001, 0b1000100000, 0b100000, 1], False
+    yield "300 sets", _random_sets(rng, 24, 300, range(2, 6)), False
+    yield ("unit 0 and the top unit", [1 | 1 << 40, 0b110, 1 << 40 | 1 << 7],
+           False)
+    for t in range(12):
+        pattern = rng.choice(PATTERNS + [generate("path:4")])
+        host = random_connected_graph(rng, rng.randrange(6, 15))
+        masks = footprints_of(pattern, host).masks
+        orbit_of = uncached_orbits(host).orbit_of
+        yield f"footprints #{t}", masks, True
+        yield f"orbit ids #{t}", [sum(1 << orbit_of[v] for v in bits_of(m))
+                                  for m in masks], False
+
+
+def test_set_up_matches_the_reference_constructor():
+    # the constructor once ordered raw sets itself; now a family's masks go
+    # in as they are and other sets through _search_order, and both must
+    # give the old sets and unit index
+    for name, raw, family_masks in _set_up_cases():
+        sets = raw if family_masks else _search_order(set(raw))
+        units = reduce(or_, raw, 0)
+        search = _CoverSearch(sets, dict.fromkeys(bits_of(units), 1),
+                              NODE_BUDGET)
+        assert (list(search.sets), search.inc) == reference_cover_setup(
+            raw), name
+
+
 class TestRepresentativity:
     def test_matches_oracle_on_random_hosts(self):
         rng = random.Random(31)
@@ -310,6 +366,16 @@ class TestRepresentativity:
         with pytest.raises(ResourceLimitError, match="node budget") as stop:
             solve(budget - 1)
         assert stop.value.best_lower == stop.value.best_upper == sol.value
+
+    def test_recursion_limit_is_a_resource_limit(self):
+        # the search recurses once per chosen unit, and path:300 needs 150
+        with frames_left(100), pytest.raises(
+                ResourceLimitError,
+                match="cover search went deeper than the recursion limit"
+        ) as stop:
+            vertex_representativity(generate("path:2"), generate("path:300"))
+        assert stop.value.limit < 300
+        assert stop.value.best_lower == stop.value.best_upper == 150
 
 
 class TestExtremalityReport:

@@ -9,7 +9,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import circulant, cube, hypercube, kneser, paley, relabelled
+from conftest import (circulant, cube, frames_left, hypercube, kneser, paley,
+                      relabelled)
 from oracles import brute_canonical_edges
 from symcover.errors import (FamilySpecError, GraphParseError,
                              ResourceLimitError)
@@ -268,6 +269,14 @@ class TestCanonical:
             canonical_form(circulant(64, (1, 7)))
         assert "incumbent prefix" in str(stop.value)
 
+    def test_recursion_limit_is_a_resource_limit(self):
+        # the lex-min search recurses once per placed vertex
+        with frames_left(100), pytest.raises(
+                ResourceLimitError, match="lex-min search on 200 vertices "
+                "went deeper than the recursion limit") as stop:
+            canonical_form(generate("path:200"))
+        assert stop.value.limit < 200
+
 
 class TestIsomorphism:
     def test_cocktail_4_is_the_4_cycle(self):
@@ -300,6 +309,13 @@ class TestIsomorphism:
                 h = relabelled(h, rng)[0]
                 same = canonical_form(g) == canonical_form(h)
                 assert is_isomorphic(g, h) == same, (g, h)
+
+    def test_recursion_limit_is_a_resource_limit(self):
+        # one embedding search, which recurses once per vertex
+        with frames_left(100), pytest.raises(
+                ResourceLimitError, match="embedding search of 200 positions "
+                "went deeper than the recursion limit"):
+            is_isomorphic(generate("path:200"), generate("path:200"))
 
     def test_relabelled_large_hosts_within_a_second(self):
         rng = random.Random(31)
