@@ -93,9 +93,12 @@ class _CoverSearch:
     can never be hit, because branching never chooses a banned unit, so
     the bound prices the node out and no leaf holds a dead set.  A node
     that passes the bound therefore has a lowest live set with an available
-    unit to branch on.  The optimum search starts from the greedy
-    maximum-coverage incumbent and returns the unit mask of the cheapest
-    cover it meets, with its cost in ``upper``.
+    unit to branch on.  The optimum search holds the greedy's cover, less
+    its redundant units (``_greedy``), and its cost is the starting
+    ``upper``.  The search then looks only for a strictly cheaper cover:
+    it returns the cheapest one it meets, or the held cover when there is
+    none, so it proves the held cover optimal.  When the root pack bound
+    already reaches the held cost, that proof is the root node alone.
 
     The lex-min witness pass scans units in ascending order and keeps each
     one that still allows an optimal completion from larger units.  It
@@ -139,19 +142,36 @@ class _CoverSearch:
                 best_upper=self.upper)
 
     def _greedy(self):
+        """(cover, cost) of the greedy maximum-coverage cover less its
+        redundant units.
+
+        Each pick is the first unit hitting the most live sets per unit
+        of cost.  The picks are then walked last to first, and each one is
+        dropped when the other picks still held hit all its sets.  The
+        picks before it are all still held, and they hit each of its sets
+        but those it newly hit when picked; so it is redundant when the
+        held picks after it hit those.  Two mask operations per pick.
+        """
         inc, costs = self.inc, self.costs
         live = self.all
-        chosen = cost = 0
+        picks = []
+        chosen = 0
         while live:
             best_u, best_hits, best_cost = -1, 0, 1
             for u in bits_of(self.units & ~chosen):
                 hits = (live & inc[u]).bit_count()
                 if hits * best_cost > best_hits * costs[u]:
                     best_u, best_hits, best_cost = u, hits, costs[u]
+            picks.append((best_u, live & inc[best_u]))
             chosen |= 1 << best_u
-            cost += best_cost
             live &= ~inc[best_u]
-        return cost
+        later = 0  # the sets that the held picks after this one hit
+        for u, newly in reversed(picks):
+            if newly & ~later:
+                later |= inc[u]
+            else:
+                chosen ^= 1 << u
+        return chosen, sum(costs[u] for u in bits_of(chosen))
 
     def _pack_bound(self, live, banned, stop):
         """Cost lower bound for covering the live sets by units not banned,
@@ -187,12 +207,14 @@ class _CoverSearch:
         return bound
 
     def optimum(self) -> int | None:
-        """Unit mask of a least-cost cover; None when some set is empty."""
+        """Unit mask of a least-cost cover, with its cost in ``upper``;
+        None when some set is empty."""
         if self.sets and self.sets[0] == 0:
             return None
-        self.upper = self._greedy()
+        held, self.upper = self._greedy()
         self.lower = self._pack_bound(self.all, 0, self.upper)
-        return self._branch(self.all, 0, self.upper + 1, first=False)
+        found = self._branch(self.all, 0, self.upper, first=False)
+        return held if found is None else found
 
     def _branch(self, live, banned, incumbent, first):
         """Unit mask of the cheapest cover below ``incumbent`` of the live

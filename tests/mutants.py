@@ -119,6 +119,18 @@ MUTANTS = (
            "                cols[low.bit_length() - 1][i - 1] = 49",
            ("tests/test_covers.py::"
             "test_set_up_matches_the_reference_constructor",)),
+    Mutant("reverse delete keeps every pick",
+           "symcover/covers.py",
+           "            if newly & ~later:\n",
+           "            if True:\n",
+           ("tests/test_covers.py::"
+            "test_greedy_cover_hits_every_set_and_drops_every_redundant_unit",)),
+    Mutant("optimum starts one above the greedy",
+           "symcover/covers.py",
+           "        found = self._branch(self.all, 0, self.upper, first=False)\n",
+           "        found = self._branch(self.all, 0, self.upper + 1, "
+           "first=False)\n",
+           ("tests/test_covers.py::test_search_tree_is_pinned",)),
 )
 
 

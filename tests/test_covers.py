@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from fractions import Fraction
 from functools import reduce
 from operator import or_
 
@@ -286,6 +287,66 @@ def test_set_up_matches_the_reference_constructor():
             raw), name
 
 
+def test_greedy_cover_hits_every_set_and_drops_every_redundant_unit():
+    # checked on the sets alone, not on the unit index the greedy reads
+    rng = random.Random(73)
+    dropped = 0
+    for weighted in (False, True):
+        for name, raw, family_masks in _set_up_cases():
+            sets = raw if family_masks else _search_order(set(raw))
+            units = list(bits_of(reduce(or_, raw, 0)))
+            costs = {u: rng.randrange(1, 5) if weighted else 1
+                     for u in units}
+            cover, cost = _CoverSearch(sets, costs, NODE_BUDGET)._greedy()
+            assert all(s & cover for s in sets), name
+            assert cost == sum(costs[u] for u in bits_of(cover)), name
+            # each unit of the cover is the only one hitting some set
+            for u in bits_of(cover):
+                assert any(s & cover == 1 << u for s in sets), (name, u)
+            # the greedy's picks, first unit of the best ratio each time
+            live, picked = set(sets), 0
+            while live:
+                u = max((u for u in units if not picked >> u & 1),
+                        key=lambda u: (Fraction(sum(s >> u & 1 for s in live),
+                                                costs[u]), -u))
+                picked |= 1 << u
+                live = {s for s in live if not s >> u & 1}
+            assert cover & ~picked == 0, name
+            dropped += cover != picked
+    # the flat families drop no pick; 9 weighted ones do
+    assert dropped == 9
+
+
+@pytest.mark.parametrize("sets, costs", [
+    # the greedy takes 1, 3, ..., 297 and then 298: 150 units, and 150
+    # edges of the path are pairwise disjoint
+    ([1 << v | 1 << v + 1 for v in range(299)], dict.fromkeys(range(300), 1)),
+    ([0b11, 0b1100, 0b110000], {0: 2, 1: 3, 2: 1, 3: 1, 4: 5, 5: 4}),
+], ids=["path-2-in-path-300", "disjoint-weighted"])
+def test_optimum_ends_at_the_root_when_the_pack_bound_meets_the_greedy(
+        sets, costs):
+    search = _CoverSearch(sets, costs, NODE_BUDGET)
+    cover = search.optimum()
+    assert search.nodes == 1
+    assert search.lower == search.upper
+    assert all(s & cover for s in sets)
+    assert search.upper == sum(costs[u] for u in bits_of(cover))
+
+
+@pytest.mark.parametrize("pattern, host", [
+    ("path:4", lambda: circulant(20, (1, 3))),
+    ("tailed-star:3", lambda: _gnp(83, 14, 0.3)),
+], ids=["circulant", "gnp"])
+def test_report_searches_the_plain_cover_as_the_plain_call_does(pattern,
+                                                                host):
+    # the incumbent reads no group, so the report's plain search, which
+    # runs after the host's orbits are known, explores the same tree
+    pattern, host = generate(pattern), host()
+    plain = vertex_representativity(pattern, host)
+    assert plain.value > 0
+    assert extremality_report(pattern, host).plain == plain
+
+
 class TestRepresentativity:
     def test_matches_oracle_on_random_hosts(self):
         rng = random.Random(31)
@@ -502,38 +563,45 @@ def _rnd(seed, n):
     return random_connected_graph(random.Random(seed), n)
 
 
-# The search tree is pinned: a change to the branching pick, the bound or
-# the witness pass that moves any of these values must edit this table.
+def _gnp(seed, n, p):
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p])
+
+
+# The search tree is pinned: a change to the branching pick, the bound, the
+# incumbent or the witness pass that moves any of these values must edit
+# this table.
 # Each row is (pattern, host, plain, invariant) with covers as
 # (value, witness, nodes_explored, orbit_ids).
 SEARCH_TREES = [
     ("path:4", lambda: circulant(20, (1, 3)),
-     (8, (0, 2, 4, 6, 8, 12, 14, 16), 544, None),
-     (20, tuple(range(20)), 2, (0,))),
+     (8, (0, 2, 4, 6, 8, 12, 14, 16), 390, None),
+     (20, tuple(range(20)), 1, (0,))),
     ("cycle:4", lambda: circulant(21, (1, 2, 5)),
-     (9, (0, 1, 4, 7, 8, 11, 14, 15, 18), 1569, None),
-     (21, tuple(range(21)), 2, (0,))),
+     (9, (0, 1, 4, 7, 8, 11, 14, 15, 18), 1123, None),
+     (21, tuple(range(21)), 1, (0,))),
     ("complete:3", lambda: kneser(7, 2),
-     (10, (0, 1, 2, 3, 6, 7, 8, 11, 12, 15), 413, None),
-     (21, tuple(range(21)), 2, (0,))),
+     (10, (0, 1, 2, 3, 6, 7, 8, 11, 12, 15), 401, None),
+     (21, tuple(range(21)), 1, (0,))),
     ("tailed-star:3", lambda: circulant(21, (1, 8)),
-     (7, (0, 3, 6, 9, 12, 15, 18), 667, None),
-     (21, tuple(range(21)), 2, (0,))),
+     (7, (0, 3, 6, 9, 12, 15, 18), 572, None),
+     (21, tuple(range(21)), 1, (0,))),
     # orbits of sizes 1 to 3, so the invariant search is weighted
     ("path:4", lambda: generate("union:cycle:8+path:7+path:9"),
-     (5, (0, 4, 11, 16, 20), 31, None),
-     (11, (0, 1, 2, 3, 4, 5, 6, 7, 11, 17, 21), 24, (0, 4, 7))),
+     (5, (0, 4, 11, 16, 20), 16, None),
+     (11, (0, 1, 2, 3, 4, 5, 6, 7, 11, 17, 21), 18, (0, 4, 7))),
     ("tailed-star:3", lambda: _rnd(3, 16),
-     (7, (0, 2, 3, 4, 5, 11, 15), 333, None),
-     (7, (0, 2, 3, 4, 5, 11, 15), 333, (0, 2, 3, 4, 5, 11, 15))),
+     (7, (0, 2, 3, 4, 5, 11, 15), 373, None),
+     (7, (0, 2, 3, 4, 5, 11, 15), 373, (0, 2, 3, 4, 5, 11, 15))),
     ("path:4", lambda: _rnd(5, 18),
-     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 518, None),
-     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 518,
+     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 447, None),
+     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 447,
       (0, 1, 4, 5, 6, 7, 9, 12, 14, 17))),
     ("path:4", lambda: circulant(32, (1, 4)),
-     (15, (0, 1, 3, 5, 7, 10, 12, 13, 17, 18, 20, 23, 25, 27, 30), 58739,
+     (15, (0, 1, 3, 5, 7, 10, 12, 13, 17, 18, 20, 23, 25, 27, 30), 47775,
       None),
-     (32, tuple(range(32)), 2, (0,))),
+     (32, tuple(range(32)), 1, (0,))),
 ]
 
 
