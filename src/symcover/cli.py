@@ -106,7 +106,7 @@ def _env_int(name: str, fallback: int) -> int:
             f"got {raw!r}") from None
 
 
-# -- subcommand handlers; each returns (doc, exit_code, record_lines) ----------
+# -- subcommand handlers; each returns (doc, exit_code) ----------------------
 
 def _cmd_gen(args):
     g = generate(args.spec)
@@ -116,7 +116,7 @@ def _cmd_gen(args):
         "n": g.n,
         "edges": g.edge_count,
     }
-    return doc, 0, None
+    return doc, 0
 
 
 def _cmd_info(args):
@@ -133,7 +133,7 @@ def _cmd_info(args):
         "orbits": [list(o) for o in part.orbits],
         "vertex_transitive": is_vertex_transitive(g),
     }
-    return doc, 0, None
+    return doc, 0
 
 
 def _cmd_repr(args):
@@ -141,7 +141,7 @@ def _cmd_repr(args):
     host = _load_graph(args.host)
     report = extremality_report(pattern, host, args.footprint_cap,
                                 args.node_budget)
-    return report.to_doc(), 0, None
+    return report.to_doc(), 0
 
 
 def _cmd_check_orbit_sum(args):
@@ -154,7 +154,7 @@ def _cmd_check_orbit_sum(args):
         marked = _parse_vertices(args.set)
     report = verify_orbit_sum_bound(pattern, host, marked,
                                     cap=args.footprint_cap)
-    return report.to_doc(), 0 if report.holds else 1, None
+    return report.to_doc(), 0 if report.holds else 1
 
 
 def _cmd_check_boundary(args):
@@ -163,7 +163,7 @@ def _cmd_check_boundary(args):
     report = check_extremal_boundary(pattern, host, args.footprint_cap,
                                      args.node_budget)
     ok = (not report.applicable) or report.all_hold
-    return report.to_doc(), 0 if ok else 1, None
+    return report.to_doc(), 0 if ok else 1
 
 
 def _cmd_check_density(args):
@@ -173,7 +173,7 @@ def _cmd_check_density(args):
     report = check_orbit_density(pattern, host, marked, args.footprint_cap,
                                  args.node_budget)
     ok = (not report.applicable) or report.holds
-    return report.to_doc(), 0 if ok else 1, None
+    return report.to_doc(), 0 if ok else 1
 
 
 def _cmd_check_containment(args):
@@ -183,13 +183,13 @@ def _cmd_check_containment(args):
                                              args.footprint_cap,
                                              args.node_budget)
     ok = (not report.applicable) or report.holds
-    return report.to_doc(), 0 if ok else 1, None
+    return report.to_doc(), 0 if ok else 1
 
 
 def _cmd_check_neighborhood(args):
     g = _load_graph(args.graph)
     report = neighborhood_profile(g)
-    return report.to_doc(), 1 if report.hypothesis_met else 0, None
+    return report.to_doc(), 1 if report.hypothesis_met else 0
 
 
 def _cmd_check_expansion(args):
@@ -198,7 +198,7 @@ def _cmd_check_expansion(args):
                                     _parse_vertices(args.orbit_a),
                                     _parse_vertices(args.orbit_b),
                                     _parse_vertices(args.source))
-    return report.to_doc(), 0 if report.holds else 1, None
+    return report.to_doc(), 0 if report.holds else 1
 
 
 def _cmd_check_weights(args):
@@ -223,7 +223,7 @@ def _cmd_check_weights(args):
         "marked": list(marked),
         "verification": report.to_doc(),
     }
-    return doc, 0 if report.holds else 1, None
+    return doc, 0 if report.holds else 1
 
 
 def _cmd_symmetrize(args):
@@ -238,27 +238,25 @@ def _cmd_symmetrize(args):
         "size": len(result),
         "size_bound": rat(len(set(marked)) * bound),
     }
-    return doc, 0, None
+    return doc, 0
 
 
 def _cmd_search_dense(args):
     report = find_dense_counterexample(args.max_n,
                                        _parse_degree_range(args.degree))
-    code = 1 if report.counterexamples else 0
-    return report.to_doc(), code, report.lines()
+    return report.to_doc(), 1 if report.counterexamples else 0
 
 
 def _cmd_search_vt(args):
     report = classify_vt_extremal(args.tail, args.max_n, args.footprint_cap,
                                   args.node_budget)
-    return report.to_doc(), 0, report.lines()
+    return report.to_doc(), 0
 
 
 def _cmd_search_connected(args):
     report = scan_connected_extremal(args.tail, args.max_n,
                                      args.footprint_cap, args.node_budget)
-    code = 1 if report.counterexamples else 0
-    return report.to_doc(), code, report.lines()
+    return report.to_doc(), 1 if report.counterexamples else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -398,7 +396,7 @@ def main(argv=None) -> int:
         if getattr(args, "footprint_cap", 0) is None:
             args.footprint_cap = _env_int("SYMCOVER_FOOTPRINT_CAP",
                                           FOOTPRINT_CAP)
-        doc, code, record_lines = args.func(args)
+        doc, code = args.func(args)
     except SymcoverError as exc:
         message = str(exc)
         if (isinstance(exc, ResourceLimitError)
@@ -409,8 +407,10 @@ def main(argv=None) -> int:
     if getattr(args, "json", False):
         print(json.dumps(doc, indent=2))
     else:
-        if record_lines:
-            for line in record_lines:
+        # a scan prints its records one a line ahead of the rest of its
+        # document; an empty list stays in the document
+        if doc.get("records"):
+            for line in doc["records"]:
                 print(line)
             doc = {key: value for key, value in doc.items()
                    if key != "records"}

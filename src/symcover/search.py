@@ -13,14 +13,14 @@ vertices still to come cannot fill (degree-bounded orderly generation), or
 whose next vertex could take no column.
 Classes are listed in graph6 order, so reports are byte-identical across
 runs.  Scan results are line-oriented records (canonical graph6 plus
-verdict) with a summary document on top; anything appended to a
-counterexample or classification list is first re-verified from its
+verdict) with a summary document on top; a host whose verdict puts it on
+the counterexample or classification list is first re-verified from its
 serialized form.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 
@@ -57,20 +57,36 @@ REGULAR_CAP = 10
 class SearchReport:
     """Outcome of one exhaustive scan.
 
-    ``records`` holds one (canonical graph6, verdict) pair per candidate;
-    ``classification`` lists the canonical forms the scan set out to
-    collect; ``counterexamples`` lists re-verified violations and is
-    expected empty.  Everything except ``elapsed_s`` is deterministic.
+    ``records`` holds one (canonical graph6, verdict) pair per candidate.
+    The lists are views of the records: ``classification`` holds the
+    hosts whose verdict starts with ``extremal``, the forms the scan set
+    out to collect; ``counterexamples`` holds those whose verdict starts
+    with ``extremal-wide`` or ``dense-profile``, each re-verified before
+    it was recorded, and is expected empty.  Everything except
+    ``elapsed_s`` is deterministic.
     """
 
     kind: str
     params: tuple[tuple[str, str], ...]
-    candidate_count: int
     records: tuple[tuple[str, str], ...]
-    classification: tuple[str, ...]
-    counterexamples: tuple[str, ...]
     elapsed_s: float
     notes: tuple[str, ...] = ()
+
+    @property
+    def candidate_count(self) -> int:
+        return len(self.records)
+
+    @property
+    def classification(self) -> tuple[str, ...]:
+        return self._marked("extremal")
+
+    @property
+    def counterexamples(self) -> tuple[str, ...]:
+        return self._marked("extremal-wide", "dense-profile")
+
+    def _marked(self, *prefixes: str) -> tuple[str, ...]:
+        return tuple(g6 for g6, verdict in self.records
+                     if verdict.startswith(prefixes))
 
     def lines(self) -> list[str]:
         return [f"{g6} {verdict}" for g6, verdict in self.records]
@@ -295,6 +311,19 @@ def _scan_host(pattern: Graph, g: Graph, g6: str, cap: int,
     return "extremal " + verdict, report.plain.value
 
 
+def _records(hosts, verdict_of) -> tuple[tuple[tuple[str, str], ...], float]:
+    """The (canonical graph6, verdict) record of each host in turn, and the
+    seconds that enumerating the hosts and judging them took.
+    ``verdict_of(g, g6)`` gives the verdict, and re-verifies from ``g6``
+    a host that the verdict lists."""
+    start = time.perf_counter()
+    records = []
+    for g in hosts:
+        g6 = emit_graph6(g)
+        records.append((g6, verdict_of(g, g6)))
+    return tuple(records), time.perf_counter() - start
+
+
 def find_dense_counterexample(n_max: int, k_range) -> SearchReport:
     """Scan all k-regular graphs, k in k_range, on at most n_max vertices
     for one whose every neighborhood deficiency p satisfies 1 <= p < k/2.
@@ -306,37 +335,24 @@ def find_dense_counterexample(n_max: int, k_range) -> SearchReport:
     if any(k < 0 for k in ks):
         raise PreconditionError("degrees must be nonnegative")
     _require_cap(n_max, REGULAR_CAP, "regular")
-    start = time.perf_counter()
-    records = []
-    hits = []
-    notes = []
-    count = 0
-    for k in ks:
-        k_count = 0
-        for n in range(k + 1, n_max + 1):
-            for g in _regular_graphs(n, k):
-                count += 1
-                k_count += 1
-                g6 = emit_graph6(g)
-                if neighborhood_profile(g).hypothesis_met:
-                    again = neighborhood_profile(parse_graph6(g6))
-                    if not again.hypothesis_met:
-                        raise VerificationError(f"{g6}: dense profile lost")
-                    hits.append(g6)
-                    records.append((g6, "dense-profile"))
-                else:
-                    records.append((g6, "hypothesis-failed"))
-        notes.append(f"degree {k}: {k_count} graphs scanned")
-    return SearchReport(
-        kind="dense-neighborhoods",
-        params=_params(n_max=n_max, degrees=ks),
-        candidate_count=count,
-        records=tuple(records),
-        classification=(),
-        counterexamples=tuple(hits),
-        elapsed_s=time.perf_counter() - start,
-        notes=tuple(notes),
-    )
+
+    def verdict_of(g, g6):
+        if not neighborhood_profile(g).hypothesis_met:
+            return "hypothesis-failed"
+        if not neighborhood_profile(parse_graph6(g6)).hypothesis_met:
+            raise VerificationError(f"{g6}: dense profile lost")
+        return "dense-profile"
+
+    hosts = (g for k in ks for n in range(k + 1, n_max + 1)
+             for g in _regular_graphs(n, k))
+    report = SearchReport("dense-neighborhoods",
+                          _params(n_max=n_max, degrees=ks),
+                          *_records(hosts, verdict_of))
+    # the lists are cached by now, so counting them enumerates nothing
+    counts = {k: sum(len(_regular_graphs(n, k))
+                     for n in range(k + 1, n_max + 1)) for k in ks}
+    return replace(report, notes=tuple(f"degree {k}: {count} graphs scanned"
+                                       for k, count in counts.items()))
 
 
 def classify_vt_extremal(d: int, n_max: int, cap: int = FOOTPRINT_CAP,
@@ -350,73 +366,44 @@ def classify_vt_extremal(d: int, n_max: int, cap: int = FOOTPRINT_CAP,
         raise PreconditionError("tail parameter must be at least 3")
     _require_cap(n_max, REGULAR_CAP, "regular")
     pattern = generate(f"tailed-star:{d}")
-    start = time.perf_counter()
-    records = []
-    hits = []
-    count = 0
-    for n in range(d + 2, n_max + 1):
-        for k in range(1, n):
-            for g in _regular_graphs(n, k):
-                if not is_connected(g) or not is_vertex_transitive(g):
-                    continue
-                count += 1
-                g6 = emit_graph6(g)
-                verdict, plain = _scan_host(pattern, g, g6, cap, node_budget)
-                if plain is not None:
-                    hits.append(g6)
-                records.append((g6, verdict))
-    return SearchReport(
-        kind="vertex-transitive-extremal",
-        params=_params(tail=d, n_max=n_max),
-        candidate_count=count,
-        records=tuple(records),
-        classification=tuple(hits),
-        counterexamples=(),
-        elapsed_s=time.perf_counter() - start,
-        notes=(f"{len(hits)} extremal host(s) among {count} connected "
-               f"vertex-transitive candidates",),
-    )
+    hosts = (g for n in range(d + 2, n_max + 1) for k in range(1, n)
+             for g in _regular_graphs(n, k)
+             if is_connected(g) and is_vertex_transitive(g))
+    report = SearchReport(
+        "vertex-transitive-extremal", _params(tail=d, n_max=n_max),
+        *_records(hosts, lambda g, g6: _scan_host(pattern, g, g6, cap,
+                                                  node_budget)[0]))
+    return replace(report, notes=(
+        f"{len(report.classification)} extremal host(s) among "
+        f"{report.candidate_count} connected vertex-transitive candidates",))
 
 
 def scan_connected_extremal(d: int = 3, n_max: int = 7,
                             cap: int = FOOTPRINT_CAP,
                             node_budget: int = NODE_BUDGET) -> SearchReport:
-    """Scan every connected host on at most n_max vertices that contains
-    the d-ray tailed star; classify the extremal ones and flag any with a
-    plain cover above 1.  The flag list is expected empty.  ``cap`` and
-    ``node_budget`` bound each host as in ``classify_vt_extremal``."""
+    """Record every connected host on d+2 to n_max vertices, with the
+    verdict ``no-copies`` where it holds no copy of the d-ray tailed star;
+    ``candidate_count`` counts them all.  Classify the extremal hosts and
+    flag those with a plain cover above 1 as ``extremal-wide``.  The flag
+    list is expected empty.  ``cap`` and ``node_budget`` bound each host
+    as in ``classify_vt_extremal``."""
     if d < 1:
         raise PreconditionError("tail parameter must be positive")
     _require_cap(n_max, UNCONSTRAINED_CAP, "unconstrained")
     pattern = generate(f"tailed-star:{d}")
-    start = time.perf_counter()
-    records = []
-    hits = []
-    violations = []
-    count = 0
-    for n in range(d + 2, n_max + 1):
-        for g in enum_graphs(n, connected_only=True):
-            count += 1
-            g6 = emit_graph6(g)
-            verdict, plain = _scan_host(pattern, g, g6, cap, node_budget)
-            if plain is not None:
-                hits.append(g6)
-                if plain > 1:
-                    violations.append(g6)
-                    verdict = verdict.replace("extremal", "extremal-wide", 1)
-            records.append((g6, verdict))
-    if hits:
-        note = (f"{len(hits)} extremal hit(s); "
-                f"{len(violations)} with plain cover above 1")
-    else:
-        note = "no extremal hit in range; nothing to flag"
-    return SearchReport(
-        kind="connected-extremal",
-        params=_params(tail=d, n_max=n_max),
-        candidate_count=count,
-        records=tuple(records),
-        classification=tuple(hits),
-        counterexamples=tuple(violations),
-        elapsed_s=time.perf_counter() - start,
-        notes=(note,),
-    )
+
+    def verdict_of(g, g6):
+        verdict, plain = _scan_host(pattern, g, g6, cap, node_budget)
+        if plain is not None and plain > 1:
+            return verdict.replace("extremal", "extremal-wide", 1)
+        return verdict
+
+    hosts = (g for n in range(d + 2, n_max + 1)
+             for g in enum_graphs(n, connected_only=True))
+    report = SearchReport("connected-extremal",
+                          _params(tail=d, n_max=n_max),
+                          *_records(hosts, verdict_of))
+    hits, wide = len(report.classification), len(report.counterexamples)
+    return replace(report, notes=(
+        f"{hits} extremal hit(s); {wide} with plain cover above 1"
+        if hits else "no extremal hit in range; nothing to flag",))

@@ -131,6 +131,18 @@ MUTANTS = (
            "        found = self._branch(self.all, 0, self.upper + 1, "
            "first=False)\n",
            ("tests/test_covers.py::test_search_tree_is_pinned",)),
+    Mutant("classification drops the wide extremal hits",
+           "symcover/search.py",
+           '        return self._marked("extremal")\n',
+           '        return self._marked("extremal ")\n',
+           ("tests/test_search.py::TestReport::"
+            "test_lists_are_read_off_the_records",)),
+    Mutant("human output prints no record lines",
+           "symcover/cli.py",
+           "                print(line)\n",
+           "                pass\n",
+           ("tests/test_cli.py::TestSearches::"
+            "test_human_output_is_the_records_then_the_document",)),
 )
 
 

@@ -11,6 +11,7 @@ import pytest
 from conftest import circulant, frames_left, petersen
 from symcover.cli import _load_graph, main
 from symcover.graphs import _UNARY_KINDS, Graph, emit_graph6, generate
+from symcover.report import render_human
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -330,6 +331,24 @@ class TestSearches:
         assert "D~{ extremal plain=1 invariant=5" in out
         assert "records:" not in out
         assert "counterexamples: []" in out
+
+    @pytest.mark.parametrize("argv, count", [
+        (("dense", "--max-n", "6", "--degree", "3"), 3),
+        (("connected-extremal", "--tail", "5", "--max-n", "6"), 0)],
+        ids=["dense", "empty"])
+    def test_human_output_is_the_records_then_the_document(self, capsys,
+                                                            argv, count):
+        code, doc = run_json(capsys, "search", *argv)
+        assert code == 0 and len(doc["records"]) == count
+        code, out, err = run(capsys, "search", *argv)
+        assert code == 0 and err == ""
+        lines = [line for line in out.splitlines()
+                 if not line.startswith("elapsed_s:")]
+        assert lines[:count] == doc["records"]
+        # an empty scan keeps "records: []" in its document
+        rest = {key: value for key, value in doc.items()
+                if key != "elapsed_s" and (key != "records" or not count)}
+        assert lines[count:] == render_human(rest).splitlines()
 
     @pytest.mark.parametrize("flag, variable, says", [
         ("--node-budget", "SYMCOVER_NODE_BUDGET", "node budget"),

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from dataclasses import fields
+
 import pytest
 
 from conftest import prism
@@ -14,6 +18,7 @@ from symcover.errors import (PreconditionError, ResourceLimitError,
 from symcover.graphs import (Graph, canonical_form, emit_graph6, generate,
                              is_regular)
 from symcover.search import (
+    SearchReport,
     classify_vt_extremal,
     enum_graphs,
     find_dense_counterexample,
@@ -247,3 +252,47 @@ class TestConnectedScan:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             scan_connected_extremal(3, 9)
+
+
+class TestReport:
+    def test_lists_are_read_off_the_records(self):
+        # no scan in range records a wide hit, so the views are checked on
+        # made-up records, one of each verdict the scans write
+        records = (("A", "extremal plain=1 invariant=5"),
+                   ("B", "extremal-wide plain=2 invariant=8"),
+                   ("C", "not-extremal plain=1 invariant=1"),
+                   ("D", "no-copies"),
+                   ("E", "dense-profile"),
+                   ("F", "hypothesis-failed"))
+        report = SearchReport("made-up", (), records, 0.0)
+        assert [f.name for f in fields(SearchReport)] == [
+            "kind", "params", "records", "elapsed_s", "notes"]
+        assert report.candidate_count == 6
+        assert report.classification == ("A", "B")
+        assert report.counterexamples == ("B", "E")
+        doc = report.to_doc()
+        assert (doc["candidate_count"], doc["classification"],
+                doc["counterexamples"]) == (6, ["A", "B"], ["B", "E"])
+
+    # SHA-256 of each to_doc() less elapsed_s, as JSON with sorted keys, as
+    # scanned when the lists were still stored beside the records
+    @pytest.mark.parametrize("scan, args, digest", [
+        (classify_vt_extremal, (3, 8), "a07a77793c31da86a3b3bb7acd0d76ef"
+                                       "1c6c06c18b9c67188e2c22a3a6b1439a"),
+        (find_dense_counterexample, (8, (3, 4)),
+         "a74e78e638c09a86cd4913f5b049ff2f"
+         "b3c518e2d8234eeee416c51dd381d3eb"),
+        (scan_connected_extremal, (3, 6), "0df1aaf8236fb52b24226665e5c24f4f"
+                                          "e50792b14d0be0083576b3c9a89c1830"),
+        (scan_connected_extremal, (4, 6), "e06e4fe674ee6c266cbe341b88063c68"
+                                          "f4e199b8beabcd0d361f3ebcff946552"),
+        # the empty range
+        (scan_connected_extremal, (5, 6), "794214da338ad51c6a43b64472d576ab"
+                                          "3e2b1f0c61c8ce0a0bd1a1cf200a2077"),
+    ], ids=["vt-3-8", "dense-8-3-4", "connected-3-6", "connected-4-6",
+            "connected-5-6"])
+    def test_scan_document_is_pinned(self, scan, args, digest):
+        doc = scan(*args).to_doc()
+        del doc["elapsed_s"]
+        text = json.dumps(doc, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
