@@ -107,6 +107,7 @@ def _env_int(name: str, fallback: int) -> int:
 
 
 # -- subcommand handlers; each returns (doc, exit_code) ----------------------
+# ``main`` has loaded the graph, pattern and host arguments into graphs
 
 def _cmd_gen(args):
     g = generate(args.spec)
@@ -120,66 +121,57 @@ def _cmd_gen(args):
 
 
 def _cmd_info(args):
-    g = _load_graph(args.graph)
-    part = orbits(g)
+    g = args.graph
+    group = orbits(g)
     doc = {
         "graph6": emit_graph6(g),
         "n": g.n,
         "edges": g.edge_count,
         "degree_sequence": list(g.degree_sequence()),
         "connected": is_connected(g),
-        "automorphism_order": part.group_order,
-        "orbit_count": part.count,
-        "orbits": [list(o) for o in part.orbits],
+        "automorphism_order": group.order,
+        "orbit_count": group.count,
+        "orbits": [list(o) for o in group.orbits],
         "vertex_transitive": is_vertex_transitive(g),
     }
     return doc, 0
 
 
 def _cmd_repr(args):
-    pattern = _load_graph(args.pattern)
-    host = _load_graph(args.host)
-    report = extremality_report(pattern, host, args.footprint_cap,
+    report = extremality_report(args.pattern, args.host, args.footprint_cap,
                                 args.node_budget)
     return report.to_doc(), 0
 
 
 def _cmd_check_orbit_sum(args):
-    pattern = _load_graph(args.pattern)
-    host = _load_graph(args.host)
     if args.set is None:
         marked = vertex_representativity(
-            pattern, host, args.footprint_cap, args.node_budget).witness
+            args.pattern, args.host, args.footprint_cap,
+            args.node_budget).witness
     else:
         marked = _parse_vertices(args.set)
-    report = verify_orbit_sum_bound(pattern, host, marked,
+    report = verify_orbit_sum_bound(args.pattern, args.host, marked,
                                     cap=args.footprint_cap)
     return report.to_doc(), 0 if report.holds else 1
 
 
 def _cmd_check_boundary(args):
-    pattern = _load_graph(args.pattern)
-    host = _load_graph(args.host)
-    report = check_extremal_boundary(pattern, host, args.footprint_cap,
-                                     args.node_budget)
+    report = check_extremal_boundary(args.pattern, args.host,
+                                     args.footprint_cap, args.node_budget)
     ok = (not report.applicable) or report.all_hold
     return report.to_doc(), 0 if ok else 1
 
 
 def _cmd_check_density(args):
-    pattern = _load_graph(args.pattern)
-    host = _load_graph(args.host)
     marked = None if args.set is None else _parse_vertices(args.set)
-    report = check_orbit_density(pattern, host, marked, args.footprint_cap,
-                                 args.node_budget)
+    report = check_orbit_density(args.pattern, args.host, marked,
+                                 args.footprint_cap, args.node_budget)
     ok = (not report.applicable) or report.holds
     return report.to_doc(), 0 if ok else 1
 
 
 def _cmd_check_containment(args):
-    pattern = _load_graph(args.pattern)
-    host = _load_graph(args.host)
-    report = check_orbit_pattern_containment(pattern, host,
+    report = check_orbit_pattern_containment(args.pattern, args.host,
                                              args.footprint_cap,
                                              args.node_budget)
     ok = (not report.applicable) or report.holds
@@ -187,14 +179,12 @@ def _cmd_check_containment(args):
 
 
 def _cmd_check_neighborhood(args):
-    g = _load_graph(args.graph)
-    report = neighborhood_profile(g)
+    report = neighborhood_profile(args.graph)
     return report.to_doc(), 1 if report.hypothesis_met else 0
 
 
 def _cmd_check_expansion(args):
-    host = _load_graph(args.host)
-    report = verify_orbit_expansion(host,
+    report = verify_orbit_expansion(args.host,
                                     _parse_vertices(args.orbit_a),
                                     _parse_vertices(args.orbit_b),
                                     _parse_vertices(args.source))
@@ -202,16 +192,15 @@ def _cmd_check_expansion(args):
 
 
 def _cmd_check_weights(args):
-    host = _load_graph(args.host)
     pair = _parse_vertices(args.pair)
     if len(pair) != 2:
         raise PreconditionError("--pair takes exactly two vertices v,w")
-    fn = build_pair_weight(host, pair[0], pair[1], args.tail)
-    family = weight_orbit(host, fn)
+    fn = build_pair_weight(args.host, pair[0], pair[1], args.tail)
+    family = weight_orbit(args.host, fn)
     if args.set is None:
         pattern = generate(f"tailed-star:{args.tail}")
         marked = vertex_representativity(
-            pattern, host, args.footprint_cap, args.node_budget).witness
+            pattern, args.host, args.footprint_cap, args.node_budget).witness
     else:
         marked = _parse_vertices(args.set)
     report = verify_weighted_system(marked, family)
@@ -227,10 +216,9 @@ def _cmd_check_weights(args):
 
 
 def _cmd_symmetrize(args):
-    host = _load_graph(args.host)
     marked = _parse_vertices(args.set)
     bound = _parse_fraction(args.max_weight)
-    result = weighted_symmetrize(host, marked, bound)
+    result = weighted_symmetrize(args.host, marked, bound)
     doc = {
         "marked": sorted(set(marked)),
         "max_weight": rat(bound),
@@ -271,6 +259,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bounded.add_argument("--footprint-cap", type=int, default=None,
                          help="footprint enumeration cap "
                               "(default from SYMCOVER_FOOTPRINT_CAP)")
+    # for the subcommands that take a pattern in a host
+    pattern_host = argparse.ArgumentParser(add_help=False, parents=[bounded])
+    pattern_host.add_argument("--pattern", required=True)
+    pattern_host.add_argument("--host", required=True)
 
     parser = argparse.ArgumentParser(
         prog="symcover",
@@ -289,44 +281,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.set_defaults(func=_cmd_info)
 
-    p = sub.add_parser("repr", parents=[bounded],
+    p = sub.add_parser("repr", parents=[pattern_host],
                        help="plain and invariant cover costs with witnesses")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--host", required=True)
     p.set_defaults(func=_cmd_repr)
 
     check = sub.add_parser("check", help="run one verifier")
     claims = check.add_subparsers(dest="claim", required=True)
 
-    p = claims.add_parser("thm1.1", parents=[bounded],
+    p = claims.add_parser("thm1.1", parents=[pattern_host],
                           help="orbit-weighted sums over footprints are >= 1")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--host", required=True)
     p.add_argument("--set", default=None,
                    help="hitting set as v,v,... (default: a computed "
                         "minimum)")
     p.set_defaults(func=_cmd_check_orbit_sum)
 
-    p = claims.add_parser("cor1.2", parents=[bounded],
+    p = claims.add_parser("cor1.2", parents=[pattern_host],
                           help="structural conditions at the extremal "
                                "boundary")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--host", required=True)
     p.set_defaults(func=_cmd_check_boundary)
 
-    p = claims.add_parser("utv2.1", parents=[bounded],
+    p = claims.add_parser("utv2.1", parents=[pattern_host],
                           help="orbit densities of a minimal set at the "
                                "extremal boundary")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--host", required=True)
     p.add_argument("--set", default=None)
     p.set_defaults(func=_cmd_check_density)
 
-    p = claims.add_parser("thm2.2", parents=[bounded],
+    p = claims.add_parser("thm2.2", parents=[pattern_host],
                           help="each orbit's induced subgraph contains the "
                                "pattern")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--host", required=True)
     p.set_defaults(func=_cmd_check_containment)
 
     p = claims.add_parser("neighborhood", parents=[common],
@@ -396,6 +378,11 @@ def main(argv=None) -> int:
         if getattr(args, "footprint_cap", 0) is None:
             args.footprint_cap = _env_int("SYMCOVER_FOOTPRINT_CAP",
                                           FOOTPRINT_CAP)
+        # graphs load before the handler reads any other argument, so a
+        # malformed graph is the error reported
+        for name in ("graph", "pattern", "host"):
+            if hasattr(args, name):
+                setattr(args, name, _load_graph(getattr(args, name)))
         doc, code = args.func(args)
     except SymcoverError as exc:
         message = str(exc)

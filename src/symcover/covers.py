@@ -34,7 +34,7 @@ from .errors import (PreconditionError, ResourceLimitError,
                      VerificationError)
 from .graphs import Graph, bits_of
 from .report import rat
-from .symmetry import OrbitPartition, orbits
+from .symmetry import AutomorphismGroup, orbits
 
 __all__ = [
     "CoverSolution",
@@ -357,7 +357,7 @@ def symmetric_vertex_representativity(
     return min_orbit_cover(family, orbits(host), node_budget)
 
 
-def min_orbit_cover(family: CopyFamily, part: OrbitPartition,
+def min_orbit_cover(family: CopyFamily, part: AutomorphismGroup,
                     node_budget: int = NODE_BUDGET) -> CoverSolution:
     """Least total size of a union of the given orbits meeting every
     footprint of the family.  A vertex outside the partition is a
@@ -428,9 +428,9 @@ def extremality_report(pattern: Graph, host: Graph,
 
 
 def _in_singleton_orbits(pattern: Graph, host: Graph, cap: int,
-                         part: OrbitPartition) -> bool:
+                         part: AutomorphismGroup) -> bool:
     """Whether every vertex of every footprint is alone in its orbit."""
-    if part.group_order == 1:
+    if part.order == 1:
         return True
     alone = 0
     for mask in part.masks:

@@ -19,9 +19,10 @@ no search.  The group's generators are the searched witnesses of every
 level, and the same closure, run on the generators, gives the vertex
 orbits.
 
-One group is cached per graph: its exact order, its generators and the
-orbit partition that ``orbits`` reads.  No element list is kept.  The
-same chain, started from a coloring refined from other starting classes,
+One value is cached per graph, the group as its exact order, its
+generators and the vertex orbits they give; ``automorphisms`` and
+``orbits`` return that same value.  No element list is kept.  The same
+chain, started from a coloring refined from other starting classes,
 gives the order of the subgroup that keeps those classes; ``checks``
 sizes weight orbits that way.
 """
@@ -36,7 +37,6 @@ from .graphs import Graph, bits_of
 
 __all__ = [
     "AutomorphismGroup",
-    "OrbitPartition",
     "automorphisms",
     "orbits",
     "is_vertex_transitive",
@@ -72,15 +72,22 @@ def _refined(g: Graph, colors) -> tuple[int, ...]:
         colors = new
 
 
+@dataclass(frozen=True)
 class AutomorphismGroup:
-    """Automorphism group of a graph: exact order, generators, and their
-    orbit ``partition``."""
+    """Automorphism group of a graph: its exact order, its generators, and
+    the vertex orbits they give.  Orbits are numbered by their smallest
+    member, ascending; ``orbit_of[v]`` is v's orbit id and ``masks[oid]``
+    the vertex mask of orbit oid."""
 
-    def __init__(self, n: int, order: int, generators):
-        self.n = n
-        self.order = order
-        self.generators = generators
-        self.partition = _orbit_partition(self)
+    order: int
+    generators: tuple[tuple[int, ...], ...]
+    orbit_of: tuple[int, ...]
+    orbits: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.orbits)
 
 
 def _color_search(g: Graph, colors, host_colors):
@@ -110,7 +117,20 @@ def _automorphism_group(g: Graph) -> AutomorphismGroup:
         raise ResourceLimitError(
             f"automorphism engine supports at most {VERTEX_CAP} vertices, "
             f"got {g.n}", limit=VERTEX_CAP)
-    return AutomorphismGroup(g.n, *_chain(g, refine_colors(g)))
+    order, generators = _chain(g, refine_colors(g))
+    # each orbit closes the lowest vertex not yet placed
+    orbit_of = [-1] * g.n
+    masks = []
+    left = (1 << g.n) - 1
+    while left:
+        mask = _close(left & -left, generators)
+        for v in bits_of(mask):
+            orbit_of[v] = len(masks)
+        masks.append(mask)
+        left &= ~mask
+    return AutomorphismGroup(order, generators, tuple(orbit_of),
+                             tuple(tuple(bits_of(m)) for m in masks),
+                             tuple(masks))
 
 
 def _chain(g: Graph, colors) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -177,52 +197,15 @@ def automorphisms(g: Graph) -> AutomorphismGroup:
     return _automorphism_group(g)
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    """Vertex orbits of the automorphism group.  Orbits are numbered by
-    their smallest member, ascending; ``orbit_of[v]`` is v's orbit id and
-    ``masks[oid]`` the vertex mask of orbit oid."""
-
-    orbit_of: tuple[int, ...]
-    orbits: tuple[tuple[int, ...], ...]
-    group_order: int
-    generators: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.orbits)
+def orbits(g: Graph) -> AutomorphismGroup:
+    """The same cached value as ``automorphisms``, read for its orbits."""
+    return _automorphism_group(g)
 
 
-def orbits(g: Graph) -> OrbitPartition:
-    """The orbit partition stored with g's cached group."""
-    return _automorphism_group(g).partition
-
-
-def uncached_orbits(g: Graph) -> OrbitPartition:
-    """The orbits recomputed from scratch, past the group cache, so a
-    re-verification does not read back the result it checks."""
-    return _automorphism_group.__wrapped__(g).partition
-
-
-def _orbit_partition(aut: AutomorphismGroup) -> OrbitPartition:
-    """Closes the lowest vertex not yet placed, until every vertex is."""
-    orbit_of = [-1] * aut.n
-    masks = []
-    left = (1 << aut.n) - 1
-    while left:
-        mask = _close(left & -left, aut.generators)
-        for v in bits_of(mask):
-            orbit_of[v] = len(masks)
-        masks.append(mask)
-        left &= ~mask
-    return OrbitPartition(
-        orbit_of=tuple(orbit_of),
-        orbits=tuple(tuple(bits_of(m)) for m in masks),
-        group_order=aut.order,
-        generators=aut.generators,
-        masks=tuple(masks),
-    )
+def uncached_orbits(g: Graph) -> AutomorphismGroup:
+    """The group and its orbits recomputed from scratch, past the cache,
+    so a re-verification does not read back the result it checks."""
+    return _automorphism_group.__wrapped__(g)
 
 
 def is_vertex_transitive(g: Graph) -> bool:

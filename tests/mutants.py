@@ -143,6 +143,17 @@ MUTANTS = (
            "                pass\n",
            ("tests/test_cli.py::TestSearches::"
             "test_human_output_is_the_records_then_the_document",)),
+    Mutant("uncached orbits read the cache",
+           "symcover/symmetry.py",
+           "    return _automorphism_group.__wrapped__(g)\n",
+           "    return _automorphism_group(g)\n",
+           ("tests/test_search.py::TestVtScan::"
+            "test_reverification_reads_no_cache",)),
+    Mutant("CLI loads the host first",
+           "symcover/cli.py",
+           '        for name in ("graph", "pattern", "host"):\n',
+           '        for name in ("graph", "host", "pattern"):\n',
+           ("tests/test_cli.py::TestLoadOrder",)),
 )
 
 

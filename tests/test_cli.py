@@ -367,6 +367,39 @@ class TestSearches:
             assert says in err, scan
 
 
+BAD_PATTERN, BAD_HOST = "no/such/pattern.g6", "no/such/host.g6"
+
+
+class TestLoadOrder:
+    # main loads every graph argument before the handler reads any other
+    # argument: the pattern first, then the host, whatever the order on
+    # the command line
+    @pytest.mark.parametrize("argv", [
+        ("repr", "--pattern", BAD_PATTERN, "--host", BAD_HOST),
+        ("repr", "--host", BAD_HOST, "--pattern", BAD_PATTERN),
+        ("check", "thm1.1", "--pattern", BAD_PATTERN, "--host", BAD_HOST),
+        ("check", "thm1.1", "--host", BAD_HOST, "--pattern", BAD_PATTERN),
+    ], ids=lambda a: " ".join(a[:3]))
+    def test_pattern_error_comes_first(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot interpret {BAD_PATTERN!r}: not a g6: "
+                       "literal, a family spec, or a readable file\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "weights", "--pair", "0,x", "--tail", "3",
+         "--host", BAD_HOST),
+        ("check", "expansion", "--orbit-a", "x", "--orbit-b", "0",
+         "--source", "0", "--host", BAD_HOST),
+        ("symmetrize", "--set", "x", "--max-weight", "1", "--host", BAD_HOST),
+    ], ids=lambda a: " ".join(a[:2]))
+    def test_host_error_comes_before_the_other_arguments(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot interpret {BAD_HOST!r}: not a g6: "
+                       "literal, a family spec, or a readable file\n")
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 2

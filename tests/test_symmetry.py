@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -89,7 +90,7 @@ class TestElements:
             (relabelled(circulant(40, (1, 7)), rng)[0], 80, 3),
         ):
             group = automorphisms(g)
-            assert group.order == orbits(g).group_order == order
+            assert group.order == orbits(g).order == order
             assert len(group.generators) == count
             assert all(is_automorphism(g, p) for p in group.generators)
 
@@ -152,6 +153,28 @@ class TestOrbits:
         part = orbits(generate("tailed-star:4"))
         shape = sorted(len(o) for o in part.orbits)
         assert shape == [1, 1, 1, 3]
+
+
+# a triangle 2-3-5 with a leaf 0 at 5 and a path 3-4-1 at 3: no symmetry
+ASYMMETRIC = Graph(6, [(0, 5), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5)])
+
+
+class TestOneGroup:
+    @pytest.mark.parametrize("g, order", [
+        (petersen(), 120),
+        (disjoint_union(generate("complete:5"), generate("complete:5")),
+         28800),
+        (Graph(6, [(u, v) for u in range(3) for v in range(3, 6)]), 72),
+        (ASYMMETRIC, 1),
+    ], ids=["petersen", "2K5", "K33", "trivial"])
+    def test_group_and_orbits_are_one_value(self, g, order):
+        group = automorphisms(g)
+        assert orbits(g) is group
+        assert group.order == order
+        fresh = uncached_orbits(g)
+        assert fresh is not group
+        for field in dataclasses.fields(AutomorphismGroup):
+            assert getattr(fresh, field.name) == getattr(group, field.name)
 
 
 class TestRelabellingInvariance:
