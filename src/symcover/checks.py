@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .copies import footprints_of, FOOTPRINT_CAP
 from .covers import CoverSolution, NODE_BUDGET, extremality_report
@@ -121,18 +122,18 @@ def verify_orbit_sum_bound(pattern: Graph, host: Graph, marked,
     family = footprints_of(pattern, host, cap=cap)
     x_mask = _as_mask(marked, host.n, "marked set")
     part = orbits(host)
-    inter = [(om & x_mask).bit_count() for om in part.masks]
-    sizes = [len(o) for o in part.orbits]
     _require_hit(family.masks, x_mask)
+    # over the lcm of the orbit sizes each sum is one integer: a vertex of
+    # orbit V adds |X∩V|·lcm/|V|, and F holds |F∩V| such vertices
+    denom = lcm(*(om.bit_count() for om in part.masks))
+    weight = []
+    for oid in part.orbit_of:
+        om = part.masks[oid]
+        weight.append((om & x_mask).bit_count() * denom // om.bit_count())
     rows = []
     for m in family.masks:
         fp = tuple(bits_of(m))
-        total = Fraction(0)
-        for oid in {part.orbit_of[v] for v in fp}:
-            if inter[oid]:
-                in_f = (part.masks[oid] & m).bit_count()
-                total += Fraction(in_f * inter[oid], sizes[oid])
-        rows.append((fp, total))
+        rows.append((fp, Fraction(sum(map(weight.__getitem__, fp)), denom)))
     rows.sort()  # the footprints are distinct, so no sums are compared
     minimum = min((v for _, v in rows), default=None)
     tight = tuple(fp for fp, v in rows if v == 1)
@@ -210,11 +211,10 @@ def check_extremal_boundary(pattern: Graph, host: Graph,
                               invariant=invariant, applicable=False)
     part = orbits(host)
     x_mask = _as_mask(plain.witness, host.n, "witness")
-    meeting = [oid for oid in range(part.count)
-               if part.masks[oid] & x_mask]
+    meeting = [oid for oid, om in enumerate(part.masks) if om & x_mask]
     cond1_fail = tuple(
         oid for oid in meeting
-        if len(part.orbits[oid])
+        if part.masks[oid].bit_count()
         != m * (part.masks[oid] & x_mask).bit_count()
     )
     meeting_mask = 0
@@ -289,9 +289,8 @@ def check_orbit_density(pattern: Graph, host: Graph, marked=None,
         touched |= fm
     rows = []
     holds = True
-    for oid in range(part.count):
-        om = part.masks[oid]
-        size = len(part.orbits[oid])
+    for oid, om in enumerate(part.masks):
+        size = om.bit_count()
         inter = (om & x_mask).bit_count()
         meets = bool(om & touched)
         density = Fraction(inter, size)
@@ -514,8 +513,7 @@ def weighted_symmetrize(host: Graph, marked, max_total) -> tuple[int, ...]:
         raise PreconditionError("max_total must be nonnegative")
     part = orbits(host)
     out_mask = 0
-    for oid in range(part.count):
-        om = part.masks[oid]
+    for om in part.masks:
         if (om & x_mask).bit_count() * m >= om.bit_count():
             out_mask |= om
     return tuple(bits_of(out_mask))

@@ -375,14 +375,12 @@ def min_orbit_cover(family: CopyFamily, part: AutomorphismGroup,
             ids |= 1 << oid
             m &= ~part.masks[oid]
         orbit_sets.add(ids)
-    costs = {oid: len(part.orbits[oid]) for oid in range(part.count)}
+    costs = {oid: om.bit_count() for oid, om in enumerate(part.masks)}
     value, ids_mask, nodes = _solve_cover(_search_order(orbit_sets), costs,
                                           node_budget)
     ids = tuple(bits_of(ids_mask))
-    members: list[int] = []
-    for oid in ids:
-        members.extend(part.orbits[oid])
-    return CoverSolution(value=value, witness=tuple(sorted(members)),
+    witness = reduce(or_, (part.masks[oid] for oid in ids), 0)
+    return CoverSolution(value=value, witness=tuple(bits_of(witness)),
                          nodes_explored=nodes, orbit_ids=ids)
 
 

@@ -10,6 +10,7 @@ for desk scale without any compiled dependency.
 from __future__ import annotations
 
 import sys
+from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass
 
 from .errors import FamilySpecError, GraphParseError, ResourceLimitError
@@ -222,39 +223,51 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
 
 # -- graph6 ------------------------------------------------------------------
 
-def _g6_header(n: int) -> str:
-    if n <= 62:
-        return chr(63 + n)
-    if n <= 258047:
-        return "~" + "".join(
-            chr(63 + (n >> s & 63)) for s in (12, 6, 0)
-        )
-    if n <= 68719476735:
-        return "~~" + "".join(
-            chr(63 + (n >> s & 63)) for s in (30, 24, 18, 12, 6, 0)
-        )
-    raise ValueError("graph too large for graph6")
+# (digits, largest n) of the graph6 length header after 0, 1 or 2 '~'
+_G6_HEADERS = ((1, 62), (3, 258047), (6, 68719476735))
+# graph6 writes six bits to a character, 63 plus their value: base64 in
+# another alphabet, so the base64 codec reads and writes it
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _B64)
+
+
+def _g6_digits(value: int, count: int) -> str:
+    """``value`` as ``count`` graph6 characters, highest six bits first."""
+    extra = -count % 4  # base64 packs four characters in three bytes
+    raw = (value << 6 * extra).to_bytes((count + extra) // 4 * 3, "big")
+    return b2a_base64(raw, newline=False).translate(_TO_G6)[:count].decode()
+
+
+def _g6_value(text: str) -> int:
+    """The number the graph6 characters of ``text`` write."""
+    extra = -len(text) % 4
+    raw = a2b_base64(text.encode().translate(_FROM_G6) + b"A" * extra)
+    return int.from_bytes(raw, "big") >> 6 * extra
 
 
 def emit_graph6(g: Graph) -> str:
-    """Serialize to the standard printable graph6 string (no trailing newline)."""
+    """Serialize to the standard printable graph6 string (no trailing newline).
+
+    The body is the ``column_bits`` of positions 1..n-1 in turn, the bit
+    string ``lex_min_order`` minimizes, read six bits to a character, so a
+    canonical form is the least graph6 string over all labellings."""
     n = g.n
-    out = [_g6_header(n)]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.rows[j] & ((1 << j) - 1)
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(63 + acc))
-    return "".join(out)
+    for tildes, (digits, top) in enumerate(_G6_HEADERS):
+        if n <= top:
+            break
+    else:
+        raise ValueError("graph too large for graph6")
+    # each row's adjacency to the lower positions, row n-1 highest:
+    # reversed, this is the column_bits of positions 1..n-1 in turn
+    low = 0
+    for j in range(n - 1, 0, -1):
+        low = low << j | g.rows[j] & ((1 << j) - 1)
+    nbits = n * (n - 1) // 2
+    # after the '~'s, n and the body padded to whole characters are one
+    # number
+    value = (n << nbits | column_bits(low, nbits)) << -nbits % 6
+    return "~" * tildes + _g6_digits(value, digits + (nbits + 5) // 6)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -273,29 +286,15 @@ def parse_graph6(text: str) -> Graph:
             raise GraphParseError(
                 f"character {ch!r} outside the graph6 alphabet", offset=i
             )
-    pos = 0
-    if text[0] != "~":
-        n = ord(text[0]) - 63
-        pos = 1
-    elif len(text) >= 2 and text[1] != "~":
-        if len(text) < 4:
-            raise GraphParseError("truncated graph6 length header",
-                                  offset=len(text))
-        n = 0
-        for ch in text[1:4]:
-            n = n << 6 | (ord(ch) - 63)
-        pos = 4
-    else:
-        if len(text) < 8:
-            raise GraphParseError("truncated graph6 length header",
-                                  offset=len(text))
-        n = 0
-        for ch in text[2:8]:
-            n = n << 6 | (ord(ch) - 63)
-        pos = 8
+    tildes = min(2, len(text) - len(text.lstrip("~")))
+    pos = tildes + _G6_HEADERS[tildes][0]
+    if len(text) < pos:
+        raise GraphParseError("truncated graph6 length header",
+                              offset=len(text))
+    n = _g6_value(text[tildes:pos])
+    body = text[pos:]
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
-    body = text[pos:]
     if len(body) < nchars:
         raise GraphParseError(
             f"graph6 body too short: need {nchars} data characters, "
@@ -303,29 +302,24 @@ def parse_graph6(text: str) -> Graph:
     if len(body) > nchars:
         raise GraphParseError("trailing data after graph6 body",
                               offset=pos + nchars)
-    edges = []
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            ch = ord(body[bit // 6]) - 63
-            if ch >> (5 - bit % 6) & 1:
-                edges.append((i, j))
-            bit += 1
-    # padding bits beyond the triangle must be zero
-    while bit < 6 * nchars:
-        ch = ord(body[bit // 6]) - 63
-        if ch >> (5 - bit % 6) & 1:
-            raise GraphParseError("nonzero padding bit in graph6 body",
-                                  offset=pos + bit // 6)
-        bit += 1
-    return Graph(n, edges)
+    value = _g6_value(body)
+    pad = 6 * nchars - nbits
+    if value & ((1 << pad) - 1):
+        raise GraphParseError("nonzero padding bit in graph6 body",
+                              offset=len(text) - 1)
+    # the bits in order are x(0, 1), x(0, 2), x(1, 2), x(0, 3), ...
+    bits = iter(f"{value >> pad:0{nbits}b}")
+    return Graph(n, [(i, j) for j in range(1, n) for i in range(j)
+                     if next(bits) == "1"])
 
 
 # -- edge list ---------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
     """Parse a whitespace edge list: optional ``n <count>`` header line, then
-    one ``u v`` pair per line.  Repeated edges are tolerated (set semantics)."""
+    one ``u v`` pair per line.  Blank lines and lines whose first token
+    starts with ``#`` are skipped.  Repeated edges are tolerated (set
+    semantics)."""
     declared = None
     edges = []
     max_seen = -1
@@ -333,7 +327,7 @@ def parse_edge_list(text: str) -> Graph:
     first = True
     for lineno, line in enumerate(lines, start=1):
         toks = line.split()
-        if not toks:
+        if not toks or toks[0].startswith("#"):
             continue
         if first and toks[0] == "n":
             if len(toks) != 2:
@@ -415,12 +409,10 @@ def basic_predicates(g: Graph) -> dict:
 # -- canonical labeling --------------------------------------------------------
 
 def column_bits(row: int, j: int) -> int:
-    """Column of the vertex at position j: its adjacency to positions
+    """The low j bits of ``row`` in reverse order.  For the row of the
+    vertex at position j this is its column: its adjacency to positions
     0..j-1, position 0 in the highest bit."""
-    c = 0
-    for i in range(j):
-        c = c << 1 | (row >> i & 1)
-    return c
+    return int(f"{row & ((1 << j) - 1):0{j}b}"[::-1], 2)
 
 
 # search nodes per lex_min_order call: 26x the most one call of the

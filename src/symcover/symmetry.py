@@ -20,11 +20,12 @@ level, and the same closure, run on the generators, gives the vertex
 orbits.
 
 One value is cached per graph, the group as its exact order, its
-generators and the vertex orbits they give; ``automorphisms`` and
-``orbits`` return that same value.  No element list is kept.  The same
-chain, started from a coloring refined from other starting classes,
-gives the order of the subgroup that keeps those classes; ``checks``
-sizes weight orbits that way.
+generators and the vertex orbits they give, each orbit kept once, as a
+vertex mask; its ``orbits`` view lists them as vertex tuples for
+printing.  ``automorphisms`` and ``orbits`` return that same value.  No
+element list is kept.  The same chain, started from a coloring refined
+from other starting classes, gives the order of the subgroup that keeps
+those classes; ``checks`` sizes weight orbits that way.
 """
 from __future__ import annotations
 
@@ -75,19 +76,23 @@ def _refined(g: Graph, colors) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class AutomorphismGroup:
     """Automorphism group of a graph: its exact order, its generators, and
-    the vertex orbits they give.  Orbits are numbered by their smallest
-    member, ascending; ``orbit_of[v]`` is v's orbit id and ``masks[oid]``
-    the vertex mask of orbit oid."""
+    the vertex orbits they give, as masks.  Orbits are numbered by their
+    smallest member, ascending; ``orbit_of[v]`` is v's orbit id and
+    ``masks[oid]`` the vertex mask of orbit oid.  ``orbits`` is the view a
+    report prints: the vertex tuples, in orbit id order."""
 
     order: int
     generators: tuple[tuple[int, ...], ...]
     orbit_of: tuple[int, ...]
-    orbits: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
 
     @property
     def count(self) -> int:
-        return len(self.orbits)
+        return len(self.masks)
+
+    @property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(bits_of(m)) for m in self.masks)
 
 
 def _color_search(g: Graph, colors, host_colors):
@@ -128,9 +133,7 @@ def _automorphism_group(g: Graph) -> AutomorphismGroup:
             orbit_of[v] = len(masks)
         masks.append(mask)
         left &= ~mask
-    return AutomorphismGroup(order, generators, tuple(orbit_of),
-                             tuple(tuple(bits_of(m)) for m in masks),
-                             tuple(masks))
+    return AutomorphismGroup(order, generators, tuple(orbit_of), tuple(masks))
 
 
 def _chain(g: Graph, colors) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -88,9 +88,9 @@ MUTANTS = (
            ("tests/test_copies.py::TestEnumeration",)),
     Mutant("orbit cover costs every orbit 1",
            "symcover/covers.py",
-           "    costs = {oid: len(part.orbits[oid]) for oid in "
-           "range(part.count)}\n",
-           "    costs = {oid: 1 for oid in range(part.count)}\n",
+           "    costs = {oid: om.bit_count() for oid, om in "
+           "enumerate(part.masks)}\n",
+           "    costs = {oid: 1 for oid, om in enumerate(part.masks)}\n",
            ("tests/test_covers.py",)),
     Mutant("re-verification reads the cached orbits",
            "symcover/search.py",
@@ -149,6 +149,20 @@ MUTANTS = (
            "    return _automorphism_group(g)\n",
            ("tests/test_search.py::TestVtScan::"
             "test_reverification_reads_no_cache",)),
+    Mutant("orbit-sum weight ignores the marked count",
+           "symcover/checks.py",
+           "        weight.append((om & x_mask).bit_count() * denom "
+           "// om.bit_count())\n",
+           "        weight.append(bool(om & x_mask) * denom "
+           "// om.bit_count())\n",
+           ("tests/test_checks.py::TestOrbitSumBound::"
+            "test_sums_match_the_term_by_term_oracle",)),
+    Mutant("graph6 padding bits not checked",
+           "symcover/graphs.py",
+           "    if value & ((1 << pad) - 1):\n",
+           "    if False:\n",
+           ("tests/test_graphs.py::TestGraph6::"
+            "test_error_messages_and_offsets",)),
     Mutant("CLI loads the host first",
            "symcover/cli.py",
            '        for name in ("graph", "pattern", "host"):\n',

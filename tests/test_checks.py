@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import symcover.checks
 from conftest import (circulant, cube, hypercube, petersen, prism,
                       random_connected_graph, relabelled)
-from oracles import brute_automorphisms
+from oracles import brute_automorphisms, brute_orbits
 from symcover.checks import (
     _orbits_holding_a_footprint,
     build_pair_weight,
@@ -110,6 +110,40 @@ class TestOrbitSumBound:
             assert report.holds
             checked += 1
         assert checked >= 20
+
+    def test_sums_match_the_term_by_term_oracle(self):
+        # every sum against Σ_V |F∩V|·|X∩V|/|V| over the brute-force orbits,
+        # one Fraction per term, on hosts with orbits of several sizes and
+        # marked sets that are hitting sets but not minimal ones
+        rng = random.Random(53)
+        hosts = [generate("tailed-star:3"), generate("tailed-star:4"),
+                 generate("union:complete:3+complete:5"), two_triangles(),
+                 *(random_connected_graph(rng, rng.randrange(4, 8))
+                   for _ in range(12))]
+        patterns = [generate("complete:2"), generate("path:3"),
+                    generate("complete:3")]
+        checked = 0
+        for host in hosts:
+            orbs = [set(o) for o in brute_orbits(host)]
+            for pattern in patterns:
+                prints = footprints_of(pattern, host).footprints
+                if not prints:
+                    continue
+                witness = set(vertex_representativity(pattern, host).witness)
+                extra = set(rng.sample(range(host.n), 2))
+                for marked in (witness | extra, set(range(host.n))):
+                    want = tuple(
+                        (fp, sum((Fraction(len(o.intersection(fp))
+                                           * len(o & marked), len(o))
+                                  for o in orbs), Fraction(0)))
+                        for fp in prints)
+                    report = verify_orbit_sum_bound(pattern, host, marked)
+                    assert report.per_footprint == want, (host, pattern)
+                    assert report.minimum == min(v for _, v in want)
+                    assert report.tight_footprints == tuple(
+                        fp for fp, v in want if v == 1)
+                    checked += 1
+        assert checked >= 60
 
     def test_doc_shape(self, k5):
         doc = verify_orbit_sum_bound(generate("tailed-star:3"), k5,

@@ -79,6 +79,13 @@ class TestInfo:
         assert code == 0
         assert doc["degree_sequence"] == [2, 2, 2, 2]
 
+    def test_edge_list_file_with_comments(self, tmp_path, capsys):
+        path = tmp_path / "g.edges"
+        path.write_text("# triangle\n0 1\n1 2\n0 2\n")
+        code, doc = run_json(capsys, "info", str(path))
+        assert code == 0
+        assert doc["graph6"] == "Bw"
+
     def test_unreadable_argument_exits_2(self, capsys):
         code, out, err = run(capsys, "info", "no-such-file")
         assert code == 2

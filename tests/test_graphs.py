@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +149,33 @@ class TestGraph6:
         with pytest.raises(GraphParseError):
             parse_graph6("")
 
+    @pytest.mark.parametrize("text, message, offset", [
+        ("D~}", "nonzero padding bit in graph6 body", 2),
+        ("A`", "nonzero padding bit in graph6 body", 1),
+        ("D~{?", "trailing data after graph6 body", 3),
+        ("~?", "truncated graph6 length header", 2),
+        ("~~?", "truncated graph6 length header", 3),
+        ("~", "truncated graph6 length header", 1),
+    ])
+    def test_error_messages_and_offsets(self, text, message, offset):
+        with pytest.raises(GraphParseError) as info:
+            parse_graph6(text)
+        assert str(info.value) == f"{message} (at byte {offset})"
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize("text", ["~??D~{", "~~?????D~{",
+                                      ">>graph6<<D~{\n"])
+    def test_long_headers_and_prefix_accepted(self, text):
+        # the long header forms may hold any n, even one a shorter form fits
+        assert parse_graph6(text) == generate("complete:5")
+
+    def test_canonical_form_is_the_least_string_over_all_labellings(self):
+        for n in range(1, 6):
+            for g in enum_graphs(n):
+                least = min(emit_graph6(g.relabel(p))
+                            for p in permutations(range(n)))
+                assert canonical_form(g) == least
+
 
 class TestEdgeListParsing:
     def test_basic(self):
@@ -160,8 +187,13 @@ class TestEdgeListParsing:
         assert g == Graph(4, [(0, 1), (2, 3)])
 
     def test_comments_and_blank_lines(self):
-        g = parse_edge_list("n 4\n\n0 1\n1 2\n2 3\n0 3\n")
-        assert g.degree_sequence() == (2, 2, 2, 2)
+        g = parse_edge_list("# square\nn 4\n\n0 1\n1 2\n#2 0\n2 3\n0 3\n")
+        assert g == Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+    def test_line_numbers_count_comment_lines(self):
+        with pytest.raises(GraphParseError) as info:
+            parse_edge_list("# triangle\n0 1\n\n1 x\n")
+        assert str(info.value) == "line 4: vertex ids must be integers"
 
     def test_reject_vertex_out_of_range(self):
         with pytest.raises(GraphParseError):
