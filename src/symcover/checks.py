@@ -21,7 +21,8 @@ from .covers import symmetric_vertex_representativity, vertex_representativity
 from .errors import (NotAHittingSetError, PreconditionError,
                      ResourceLimitError, VerificationError,
                      WeightConstructionError)
-from .graphs import Graph, bits_of, is_connected, has_pendant_vertex
+from .graphs import (Graph, bits_of, has_pendant_vertex, is_connected,
+                     is_regular)
 from .report import rat
 from .symmetry import _chain, _refined, automorphisms, orbits
 
@@ -353,7 +354,7 @@ def check_orbit_pattern_containment(
     part = orbits(host)
     held = _orbits_holding_a_footprint(
         part, footprints_of(pattern, host, cap).masks)
-    rows = tuple((oid, oid in held) for oid in range(part.count))
+    rows = tuple((oid, oid in held) for oid in range(len(part.masks)))
     first_fail = next((oid for oid, ok in rows if not ok), None)
     return OrbitContainmentReport(
         preconditions=pre,
@@ -428,11 +429,9 @@ def neighborhood_profile(g: Graph) -> NeighborhoodProfile:
             deficiency=k * (k - 1) // 2 - inner,
             anti_degrees=tuple(antis),
         ))
-    degs = {e.degree for e in entries}
-    regular_degree = degs.pop() if len(degs) == 1 and g.n else None
+    regular_degree = g.degree(0) if g.n and is_regular(g) else None
     hypothesis = (
-        g.n > 0
-        and regular_degree is not None
+        regular_degree is not None
         and all(1 <= e.deficiency and 2 * e.deficiency < regular_degree
                 for e in entries)
     )
@@ -469,29 +468,24 @@ class OrbitExpansionReport:
 
 def verify_orbit_expansion(host: Graph, orbit_a, orbit_b,
                            source) -> OrbitExpansionReport:
-    part = orbits(host)
-    orbit_sets = {frozenset(o) for o in part.orbits}
-    a = frozenset(orbit_a)
-    b = frozenset(orbit_b)
-    if a not in orbit_sets or b not in orbit_sets:
+    masks = orbits(host).masks
+    # a vertex outside the host gives the mask 0, which is no orbit
+    a_mask, b_mask = (
+        sum(1 << v for v in vs) if all(0 <= v < host.n for v in vs) else 0
+        for vs in (set(orbit_a), set(orbit_b)))
+    if a_mask not in masks or b_mask not in masks:
         raise PreconditionError("orbit_a and orbit_b must each be exactly "
                                 "one orbit of the host")
-    if a == b:
+    if a_mask == b_mask:
         raise PreconditionError("orbit_a and orbit_b must be distinct")
     s1 = sorted(set(source))
-    if not set(s1) <= a:
+    if not set(s1) <= set(bits_of(a_mask)):
         raise PreconditionError("source set must lie inside orbit_a")
-    a_mask = _as_mask(a, host.n, "orbit_a")
-    b_mask = _as_mask(b, host.n, "orbit_b")
-    crossing = any(host.rows[v] & b_mask for v in bits_of(a_mask))
-    if not crossing:
+    if not any(host.rows[v] & b_mask for v in bits_of(a_mask)):
         raise PreconditionError("no edge joins the two orbits")
-    s1_mask = _as_mask(s1, host.n, "source set")
-    s2_mask = 0
-    for v in bits_of(b_mask):
-        if host.rows[v] & s1_mask:
-            s2_mask |= 1 << v
-    bound = Fraction(len(s1) * len(b), len(a))
+    s1_mask = sum(1 << v for v in s1)
+    s2_mask = sum(1 << v for v in bits_of(b_mask) if host.rows[v] & s1_mask)
+    bound = Fraction(len(s1) * b_mask.bit_count(), a_mask.bit_count())
     return OrbitExpansionReport(
         source=tuple(s1),
         image=tuple(bits_of(s2_mask)),
@@ -558,12 +552,12 @@ class WeightFunction:
         return frozenset(w for _, w in self.entries)
 
     def translate(self, perm) -> "WeightFunction":
-        """The composed function u -> value(perm[u])."""
-        inv = {}
-        for u in range(self.graph.n):
-            inv[perm[u]] = u
-        return WeightFunction(self.graph,
-                              {inv[v]: w for v, w in self.entries})
+        """The composed function u -> value(perm[u]) for a permutation."""
+        if sorted(perm) != list(range(self.graph.n)):
+            raise ValueError("relabeling must be a permutation of 0..n-1")
+        weights = dict(self.entries)
+        return WeightFunction(self.graph, {u: weights.get(p, 0)
+                                           for u, p in enumerate(perm)})
 
     def __eq__(self, other):
         return (isinstance(other, WeightFunction)
@@ -679,10 +673,9 @@ def build_pair_weight(host: Graph, v: int, w: int, d: int) -> WeightFunction:
         raise PreconditionError("v and w must be two distinct vertices")
     if not host.has_edge(v, w):
         raise PreconditionError("v and w must be adjacent")
-    degs = {host.degree(u) for u in range(n)}
-    if len(degs) != 1:
+    if not is_regular(host):
         raise PreconditionError("host must be regular")
-    k = degs.pop()
+    k = host.degree(v)
     if not (3 <= d <= k):
         raise PreconditionError(f"need 3 <= d <= host degree, "
                                 f"got d={d}, degree={k}")

@@ -130,7 +130,7 @@ def _cmd_info(args):
         "degree_sequence": list(g.degree_sequence()),
         "connected": is_connected(g),
         "automorphism_order": group.order,
-        "orbit_count": group.count,
+        "orbit_count": len(group.masks),
         "orbits": [list(o) for o in group.orbits],
         "vertex_transitive": is_vertex_transitive(g),
     }

@@ -2,10 +2,13 @@
 
 Vertices are always the dense integers 0..n-1.  A Graph is an immutable
 value (hashable, comparable by structure), so instances can be shared
-freely between threads or processes.  Adjacency is kept as one Python int
-per vertex; neighborhood algebra is then plain integer bit arithmetic,
-which keeps the exhaustive searches in the rest of the library fast enough
-for desk scale without any compiled dependency.
+freely between threads or processes.  A Graph is its adjacency rows, one
+Python int per vertex; neighborhood algebra is then plain integer bit
+arithmetic, which keeps the exhaustive searches in the rest of the library
+fast enough for desk scale without any compiled dependency.  Edge lists
+enter through ``Graph(n, edges)``, which validates them, and leave through
+``edges()``; every graph derived from another graph or from graph6 bits is
+built from its rows.
 """
 from __future__ import annotations
 
@@ -28,7 +31,6 @@ __all__ = [
     "is_connected",
     "has_pendant_vertex",
     "is_regular",
-    "basic_predicates",
     "canonical_form",
     "canonical_graph",
 ]
@@ -43,7 +45,9 @@ def bits_of(mask: int):
 
 
 class Graph:
-    """Finite undirected simple graph with one adjacency bitmask per vertex."""
+    """Finite undirected simple graph: its adjacency rows, one bitmask per
+    vertex.  ``Graph(n, edges)`` builds one from an edge list and refuses
+    loops and vertices outside 0..n-1."""
 
     __slots__ = ("n", "rows", "_hash")
 
@@ -61,6 +65,16 @@ class Graph:
         self.n = n
         self.rows = tuple(rows)
         self._hash = hash((n, self.rows))
+
+    @classmethod
+    def _from_rows(cls, rows) -> "Graph":
+        """The graph with adjacency ``rows``, trusted to be symmetric and
+        loop-free: the constructor for graphs derived from other graphs."""
+        g = object.__new__(cls)
+        g.rows = tuple(rows)
+        g.n = len(g.rows)
+        g._hash = hash((g.n, g.rows))
+        return g
 
     # -- basic queries -----------------------------------------------------
 
@@ -92,7 +106,10 @@ class Graph:
         """New graph where old vertex v becomes perm[v]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("relabeling must be a permutation of 0..n-1")
-        return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
+        rows = [0] * self.n
+        for v, row in enumerate(self.rows):
+            rows[perm[v]] = sum(1 << perm[u] for u in bits_of(row))
+        return Graph._from_rows(rows)
 
     # -- value semantics ---------------------------------------------------
 
@@ -199,9 +216,7 @@ def generate(spec) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    off = g.n
-    edges = list(g.edges()) + [(u + off, v + off) for u, v in h.edges()]
-    return Graph(g.n + h.n, edges)
+    return Graph._from_rows(g.rows + tuple(row << g.n for row in h.rows))
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
@@ -212,13 +227,9 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
     pos = {v: i for i, v in enumerate(vs)}
-    edges = []
-    for i, v in enumerate(vs):
-        row = g.rows[v]
-        for w in vs[i + 1:]:
-            if row >> w & 1:
-                edges.append((pos[v], pos[w]))
-    return Graph(len(vs), edges)
+    keep = sum(1 << v for v in vs)
+    return Graph._from_rows(
+        sum(1 << pos[w] for w in bits_of(g.rows[v] & keep)) for v in vs)
 
 
 # -- graph6 ------------------------------------------------------------------
@@ -307,10 +318,16 @@ def parse_graph6(text: str) -> Graph:
     if value & ((1 << pad) - 1):
         raise GraphParseError("nonzero padding bit in graph6 body",
                               offset=len(text) - 1)
-    # the bits in order are x(0, 1), x(0, 2), x(1, 2), x(0, 3), ...
-    bits = iter(f"{value >> pad:0{nbits}b}")
-    return Graph(n, [(i, j) for j in range(1, n) for i in range(j)
-                     if next(bits) == "1"])
+    # the inverse of emit_graph6's row loop: the body, reversed, is each
+    # row's adjacency to the lower positions, row 1 lowest
+    low = column_bits(value >> pad, nbits)
+    rows = [0] * n
+    for j in range(1, n):
+        rows[j] = low & ((1 << j) - 1)
+        low >>= j
+        for i in bits_of(rows[j]):
+            rows[i] |= 1 << j
+    return Graph._from_rows(rows)
 
 
 # -- edge list ---------------------------------------------------------------
@@ -392,18 +409,6 @@ def is_regular(g: Graph, k: int | None = None) -> bool:
     if len(degs) != 1:
         return False
     return k is None or degs == {k}
-
-
-def basic_predicates(g: Graph) -> dict:
-    degs = g.degree_sequence()
-    return {
-        "vertices": g.n,
-        "edges": g.edge_count,
-        "degree_sequence": degs,
-        "is_connected": is_connected(g),
-        "has_pendant_vertex": has_pendant_vertex(g),
-        "is_regular": len(set(degs)) <= 1,
-    }
 
 
 # -- canonical labeling --------------------------------------------------------

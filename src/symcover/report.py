@@ -1,14 +1,14 @@
 """Helpers for machine-readable report documents.
 
 Reports are plain dicts of JSON-safe values.  Exact rationals are rendered
-as ``"p/q"`` strings (integers stay integers), so every numeric field can
-be parsed back losslessly.
+as ``"p/q"`` strings (integers stay integers), so ``Fraction`` parses every
+numeric field back losslessly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["rat", "parse_rat", "render_human"]
+__all__ = ["rat", "render_human"]
 
 
 def rat(x) -> int | str:
@@ -18,11 +18,6 @@ def rat(x) -> int | str:
     if f.denominator == 1:
         return int(f)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_rat(text) -> Fraction:
-    """Inverse of ``rat`` (also accepts plain ints)."""
-    return Fraction(text)
 
 
 def render_human(doc, indent: int = 0) -> str:

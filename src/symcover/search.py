@@ -7,7 +7,8 @@ of such a graph leaves a graph in the same form, so extending every kept
 graph on m-1 vertices by every possible last column, and keeping the
 children already in that form, reaches every class exactly once; no
 isomorphism test between candidates is needed.  Each child is tested on
-its adjacency rows, and a Graph is built only for the children kept.
+its adjacency rows, and a Graph is built from them only for the children
+kept.
 Regular classes skip that test for children whose degree deficit the
 vertices still to come cannot fill (degree-bounded orderly generation), or
 whose next vertex could take no column.
@@ -205,8 +206,7 @@ def _extend(parents, lo: int, hi: int,
                     rows[m - 1 - b] |= 1 << m
                     rows[m] |= 1 << (m - 1 - b)
                 if lex_min_order(m + 1, rows, first_only=True) is not None:
-                    out.append(Graph(m + 1, parent.edges() + tuple(
-                        (u, m) for u in bits_of(rows[m]))))
+                    out.append(Graph._from_rows(rows))
             if not sub:
                 break
             sub = (sub - 1) & room
@@ -237,9 +237,9 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
 
 
 def _complement(g: Graph) -> Graph:
-    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-             if not g.has_edge(u, v)]
-    return Graph(g.n, edges)
+    full = (1 << g.n) - 1
+    return Graph._from_rows(full ^ 1 << v ^ row
+                            for v, row in enumerate(g.rows))
 
 
 @lru_cache(maxsize=None)

@@ -87,10 +87,6 @@ class AutomorphismGroup:
     masks: tuple[int, ...]
 
     @property
-    def count(self) -> int:
-        return len(self.masks)
-
-    @property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(bits_of(m)) for m in self.masks)
 
@@ -212,4 +208,4 @@ def uncached_orbits(g: Graph) -> AutomorphismGroup:
 
 
 def is_vertex_transitive(g: Graph) -> bool:
-    return g.n == 0 or orbits(g).count == 1
+    return g.n == 0 or len(orbits(g).masks) == 1

@@ -163,6 +163,32 @@ MUTANTS = (
            "    if False:\n",
            ("tests/test_graphs.py::TestGraph6::"
             "test_error_messages_and_offsets",)),
+    Mutant("graph6 reader skips the symmetric fill",
+           "symcover/graphs.py",
+           "            rows[i] |= 1 << j\n",
+           "            pass\n",
+           ("tests/test_graphs.py::TestGraph6::test_known_strings",
+            "tests/test_graphs.py::TestOperations::"
+            "test_rows_built_graphs_equal_their_edge_built_twins")),
+    Mutant("complement keeps the diagonal",
+           "symcover/search.py",
+           "full ^ 1 << v ^ row",
+           "full ^ row",
+           ("tests/test_search.py::TestEnumeration::test_regular_counts",
+            "tests/test_graphs.py::TestOperations::"
+            "test_rows_built_graphs_equal_their_edge_built_twins")),
+    Mutant("relabel keeps the old neighbour ids",
+           "symcover/graphs.py",
+           "sum(1 << perm[u] for u in bits_of(row))",
+           "sum(1 << u for u in bits_of(row))",
+           ("tests/test_graphs.py::TestOperations::"
+            "test_rows_built_graphs_equal_their_edge_built_twins",)),
+    Mutant("weight translation takes any sequence",
+           "symcover/checks.py",
+           "        if sorted(perm) != list(range(self.graph.n)):\n",
+           "        if False:\n",
+           ("tests/test_checks.py::TestWeightFunction::"
+            "test_translate_refuses_a_non_permutation",)),
     Mutant("CLI loads the host first",
            "symcover/cli.py",
            '        for name in ("graph", "pattern", "host"):\n',

@@ -380,6 +380,11 @@ class TestOrbitExpansion:
         with pytest.raises(PreconditionError):
             verify_orbit_expansion(generate("path:4"), (0, 3), (0, 3), (0,))
 
+    @pytest.mark.parametrize("orbit_a", [(0, 4), (-1, 3), (4,), ()])
+    def test_rejects_vertices_outside_the_host(self, orbit_a):
+        with pytest.raises(PreconditionError, match="exactly one orbit"):
+            verify_orbit_expansion(generate("path:4"), orbit_a, (1, 2), (0,))
+
     def test_rejects_source_outside_orbit(self):
         with pytest.raises(PreconditionError):
             verify_orbit_expansion(generate("path:4"), (0, 3), (1, 2), (1,))
@@ -465,6 +470,13 @@ class TestWeightFunction:
         rotated = fn.translate((1, 2, 3, 0))
         assert rotated.support == (3,)
         assert rotated.value(3) == 1
+
+    @pytest.mark.parametrize("perm", [(0, 0, 1, 2, 3), (1, 2, 3, 4),
+                                      (5, 1, 2, 3, 4)])
+    def test_translate_refuses_a_non_permutation(self, k5, perm):
+        fn = WeightFunction(k5, {0: 1, 2: "1/2"})
+        with pytest.raises(ValueError, match="must be a permutation"):
+            fn.translate(perm)
 
     def test_translate_preserves_total(self):
         host = petersen()

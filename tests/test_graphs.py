@@ -16,7 +16,6 @@ from symcover.errors import (FamilySpecError, GraphParseError,
                              ResourceLimitError)
 from symcover.graphs import (
     Graph,
-    basic_predicates,
     canonical_form,
     canonical_graph,
     disjoint_union,
@@ -31,7 +30,7 @@ from symcover.graphs import (
     parse_family_spec,
     parse_graph6,
 )
-from symcover.search import enum_graphs
+from symcover.search import _complement, enum_graphs
 from symcover.symmetry import is_isomorphic
 
 
@@ -216,11 +215,42 @@ class TestOperations:
         assert g.edge_count == 6
         assert not is_connected(g)
 
+    def test_rows_built_graphs_equal_their_edge_built_twins(self):
+        # graphs derived from graphs are built from rows; each must be the
+        # value, and hash, that Graph(n, edges) gives for its edge list
+        rng = random.Random(26)
+        graphs = [random_graph(rng, n, rng.random())
+                  for n in [0, 1, 2, 61, 62, 63, 70,
+                            *(rng.randrange(71) for _ in range(20))]]
+        graphs += [generate(spec) for spec in (
+            "complete:6", "cocktail:6", "tailed-star:4", "cycle:7", "path:1",
+            "union:complete:3+cycle:4+path:2")]
+
+        def same(built, n, edges):
+            twin = Graph(n, edges)
+            assert built == twin and hash(built) == hash(twin)
+
+        for g in graphs:
+            n, edges = g.n, g.edges()
+            same(parse_graph6(emit_graph6(g)), n, edges)
+            perm = rng.sample(range(n), n)
+            same(g.relabel(perm), n, [(perm[u], perm[v]) for u, v in edges])
+            h = rng.choice(graphs)
+            same(disjoint_union(g, h), n + h.n,
+                 [*edges, *((u + n, v + n) for u, v in h.edges())])
+            pos = {v: i for i, v in enumerate(sorted(
+                rng.sample(range(n), rng.randrange(n + 1))))}
+            same(induced_subgraph(g, list(pos)), len(pos),
+                 [(pos[u], pos[v]) for u, v in edges
+                  if u in pos and v in pos])
+            same(_complement(g), n, [(u, v) for u, v in
+                                     combinations(range(n), 2)
+                                     if not g.has_edge(u, v)])
+
     def test_predicates(self):
         g = generate("tailed-star:3")
-        doc = basic_predicates(g)
-        assert doc["is_connected"] is True
-        assert doc["is_regular"] is False
+        assert is_connected(g)
+        assert not is_regular(g)
         assert is_regular(generate("cycle:6"), 2)
         assert not is_regular(generate("path:3"))
 

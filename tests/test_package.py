@@ -24,6 +24,28 @@ def test_no_bare_assert():
     assert found == []
 
 
+def test_only_the_printed_form_reads_edges_back():
+    # a Graph is its rows: graphs derived from other graphs are built from
+    # rows, so only repr turns the rows back into an edge list
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "edges"):
+                callers.append(scope)
+            visit(child, scope)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert callers == ["graphs.Graph.__repr__"]
+
+
 def test_every_exported_name_resolves():
     # a name left in __all__ after its definition moved breaks star imports
     missing = [f"{module.__name__}.{name}" for module in [symcover, *MODULES]
