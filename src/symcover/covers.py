@@ -7,8 +7,11 @@ orbits.  Both are solved exactly by one branch and bound, ``_CoverSearch``,
 with certified optimality; ties are broken toward the lexicographically
 smallest witness.  The search indexes the sets by bit, so a node is a mask
 of live set indices plus a mask of banned units, over sets its callers put
-in search order (``_search_order``).  The witness comes from a scan over
-units that searches only outside the optimal cover it holds.
+in search order (``_search_order``).  A node branches on its lowest live
+set, strongest unit first, and skips a unit that a unit tried before it
+replaces at no greater cost.  The witness comes from a scan over units in
+ascending order that searches only outside the optimal cover it holds, so
+the branch order shapes the tree but moves no witness.
 
 ``extremality_report`` solves the invariant cover only when some
 footprint vertex shares its orbit with another vertex.  When every
@@ -27,6 +30,8 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
+from heapq import heapify, heappop, heapreplace
+from math import lcm
 from operator import or_
 
 from .copies import CopyFamily, footprints_of, FOOTPRINT_CAP
@@ -78,11 +83,27 @@ class _CoverSearch:
     A search node is a mask of live (still unhit) set indices plus a mask
     of banned units.  Choosing u leaves ``live & ~inc[u]``.  Branching
     takes the lowest live set, ``(live & -live).bit_length() - 1``, and
-    tries each of its available units in ascending order, banning the
-    units already tried in later branches so the search space partitions.
-    The pick costs a few mask operations, where Knuth's fewest-candidates
-    rule (*Dancing Links*, 2000) scans every live set at each node; its
-    tree is smaller, but not by as much as its cost per node is higher.
+    tries its available units by live sets hit per unit of cost, most
+    first, ties to the lowest unit.  The key is ``(inc[u] & live)
+    .bit_count() * rate[u]`` with ``rate[u] = lcm(costs) // costs[u]``, so
+    the order is exact in integers.  Each branch bans the units tried
+    before it, so the search space partitions, and the strongest unit,
+    banned in every later sibling, raises their pack bounds.  The pick
+    costs a few mask operations, where Knuth's fewest-candidates rule
+    (*Dancing Links*, 2000) scans every live set at each node; its tree is
+    smaller, but not by as much as its cost per node is higher.
+
+    A unit u is skipped, though still banned in the branches after it,
+    when a unit v branched on earlier at the node hits all of u's live
+    sets at no greater cost (unit domination, as in Caprara, Toth and
+    Fischetti, *Ann. Oper. Res.* 2000).  A cover below u's branch avoids
+    v, which that branch bans; swapping u for v gives a cover of the live
+    sets at no greater cost that avoids every unit v's branch bans, so it
+    lies in v's branch, already searched.  So the skip loses neither a
+    cover cheaper than the incumbent nor the first completion under a
+    limit.  Of two units with the same live sets and cost, the lower one
+    goes first and the other is skipped.  A set with one available unit
+    recurses on it directly.
 
     Every node first asks the pack bound (``_pack_bound``) whether a cover
     cheaper than the incumbent can lie below it.  The bound packs live
@@ -129,6 +150,11 @@ class _CoverSearch:
         self.inc = [int(col, 2) for col in cols]  # linear time in base 2
         self.meet = {}
         unit_costs = {costs[u] for u in bits_of(units)}
+        # live sets hit per unit of cost is hits * rate[u], in integers
+        scale = lcm(*unit_costs)
+        self.rate = rate = [0] * len(cols)
+        for u in bits_of(units):
+            rate[u] = scale // costs[u]
         # the cost all units share, which makes every packed set cost it
         self.flat = unit_costs.pop() if len(unit_costs) == 1 else None
 
@@ -146,25 +172,34 @@ class _CoverSearch:
         redundant units.
 
         Each pick is the first unit hitting the most live sets per unit
-        of cost.  The picks are then walked last to first, and each one is
-        dropped when the other picks still held hit all its sets.  The
+        of cost.  The unchosen units wait in a heap keyed by
+        ``(-hits * rate[u], u)`` with the hits they had when last keyed.
+        Hits only fall as sets die, so every key is at most the unit's
+        current one, and a popped key that is still current is the least
+        current key: that unit is the pick.  A stale key is re-keyed and
+        pushed back.  The picks are then walked last to first, and each one
+        is dropped when the other picks still held hit all its sets.  The
         picks before it are all still held, and they hit each of its sets
         but those it newly hit when picked; so it is redundant when the
         held picks after it hit those.  Two mask operations per pick.
         """
-        inc, costs = self.inc, self.costs
+        inc, costs, rate = self.inc, self.costs, self.rate
         live = self.all
+        heap = [(-inc[u].bit_count() * rate[u], u)
+                for u in bits_of(self.units)]
+        heapify(heap)
         picks = []
         chosen = 0
         while live:
-            best_u, best_hits, best_cost = -1, 0, 1
-            for u in bits_of(self.units & ~chosen):
-                hits = (live & inc[u]).bit_count()
-                if hits * best_cost > best_hits * costs[u]:
-                    best_u, best_hits, best_cost = u, hits, costs[u]
-            picks.append((best_u, live & inc[best_u]))
-            chosen |= 1 << best_u
-            live &= ~inc[best_u]
+            key, u = heap[0]
+            hit = live & inc[u]
+            if -hit.bit_count() * rate[u] != key:
+                heapreplace(heap, (-hit.bit_count() * rate[u], u))
+                continue
+            heappop(heap)
+            picks.append((u, hit))
+            chosen |= 1 << u
+            live &= ~inc[u]
         later = 0  # the sets that the held picks after this one hit
         for u, newly in reversed(picks):
             if newly & ~later:
@@ -220,7 +255,7 @@ class _CoverSearch:
         """Unit mask of the cheapest cover below ``incumbent`` of the live
         sets by units not banned, or None when there is none.  With
         ``first`` set, return the first such cover found."""
-        sets, inc, costs = self.sets, self.inc, self.costs
+        sets, inc, costs, rate = self.sets, self.inc, self.costs, self.rate
         pack_bound, budget = self._pack_bound, self.budget
         best_cost, best = incumbent, None
         nodes = self.nodes
@@ -243,15 +278,31 @@ class _CoverSearch:
             # the pack bound has priced the lowest live set, so it has an
             # available unit
             avail = sets[(live & -live).bit_length() - 1] & ~banned
-            tried = 0
+            if not avail & avail - 1:  # one available unit, nothing to order
+                u = avail.bit_length() - 1
+                return dfs(live & ~inc[u], banned, cost + costs[u],
+                           chosen | avail)
+            keyed = []  # strongest first, ties to the lowest unit
             while avail:
                 low = avail & -avail
                 u = low.bit_length() - 1
-                if dfs(live & ~inc[u], banned | tried, cost + costs[u],
-                       chosen | low):
-                    return True
-                tried |= low
+                hit = inc[u] & live
+                keyed.append((-hit.bit_count() * rate[u], u, hit))
                 avail ^= low
+            keyed.sort()
+            tried = 0
+            done = []  # (live sets hit, cost) of the units branched on
+            for _, u, hit in keyed:
+                c = costs[u]
+                for h, k in done:
+                    if h & hit == hit and k <= c:
+                        break  # an earlier unit replaces u
+                else:
+                    if dfs(live & ~hit, banned | tried, cost + c,
+                           chosen | 1 << u):
+                        return True
+                    done.append((hit, c))
+                tried |= 1 << u
             return False
 
         try:

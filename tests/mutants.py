@@ -125,11 +125,40 @@ MUTANTS = (
            "            if True:\n",
            ("tests/test_covers.py::"
             "test_greedy_cover_hits_every_set_and_drops_every_redundant_unit",)),
+    Mutant("greedy picks a unit from a stale key",
+           "symcover/covers.py",
+           "            if -hit.bit_count() * rate[u] != key:\n",
+           "            if False:\n",
+           ("tests/test_covers.py::"
+            "test_greedy_cover_hits_every_set_and_drops_every_redundant_unit",)),
     Mutant("optimum starts one above the greedy",
            "symcover/covers.py",
            "        found = self._branch(self.all, 0, self.upper, first=False)\n",
            "        found = self._branch(self.all, 0, self.upper + 1, "
            "first=False)\n",
+           ("tests/test_covers.py::test_search_tree_is_pinned",)),
+    Mutant("dominance ignores cost",
+           "symcover/covers.py",
+           "                    if h & hit == hit and k <= c:\n",
+           "                    if h & hit == hit and True:\n",
+           ("tests/test_covers.py::TestMinHittingSet::"
+            "test_matches_weighted_oracle_on_small_families",
+            "tests/test_covers.py::TestMinHittingSet::"
+            "test_branch_tries_a_cheaper_unit_with_fewer_sets")),
+    Mutant("dominance reads the inclusion backwards",
+           "symcover/covers.py",
+           "                    if h & hit == hit and k <= c:\n",
+           "                    if h & hit == h and k <= c:\n",
+           # with equal costs it only skips fewer units, so the weighted
+           # oracles catch it
+           ("tests/test_covers.py::TestMinHittingSet::"
+            "test_matches_weighted_oracle_on_small_families",
+            "tests/test_covers.py::TestMinHittingSet::"
+            "test_branch_reaches_the_optimum_under_bans")),
+    Mutant("units tried in ascending order",
+           "symcover/covers.py",
+           "                keyed.append((-hit.bit_count() * rate[u], u, hit))\n",
+           "                keyed.append((0, u, hit))\n",
            ("tests/test_covers.py::test_search_tree_is_pinned",)),
     Mutant("classification drops the wide extremal hits",
            "symcover/search.py",

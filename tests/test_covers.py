@@ -206,6 +206,62 @@ class TestMinHittingSet:
             assert bound <= min(cheapest, stop)
         assert dead > 100
 
+    def test_branch_reaches_the_optimum_under_bans(self):
+        # random weighted families at random (live, banned) nodes: the
+        # cheapest cover over the unbanned units, and a first completion
+        # under a limit exactly when one exists, whatever the branch order
+        # and its skips
+        rng = random.Random(79)
+        dead = 0
+        for trial in range(500):
+            n = rng.randrange(3, 9)
+            family = _search_order({
+                sum(1 << u for u in rng.sample(range(n), rng.randrange(1, 4)))
+                for _ in range(rng.randrange(2, 10))})
+            costs = {u: 1 if trial % 4 == 0 else rng.randrange(1, 5)
+                     for u in range(n)}
+            search = _CoverSearch(family, costs, NODE_BUDGET)
+            live = rng.randrange(1, 1 << len(family))
+            banned = rng.randrange(1 << n)
+            found = search._branch(live, banned, 4 * n + 1, first=False)
+            left = [tuple(bits_of(family[i] & ~banned)) for i in bits_of(live)]
+            if not all(left):
+                dead += 1
+                assert found is None
+                continue
+            want, _ = brute_min_weighted_hitting(
+                left, {u: costs[u] for u in range(n) if not banned >> u & 1})
+            assert not found & banned
+            assert all(family[i] & found for i in bits_of(live))
+            assert sum(costs[u] for u in bits_of(found)) == want
+            for limit in (want - 1, want):
+                first = search._branch(live, banned, limit + 1, first=True)
+                assert (first is not None) == (limit == want)
+                if first is not None:
+                    assert not first & banned
+                    assert all(family[i] & first for i in bits_of(live))
+                    assert sum(costs[u] for u in bits_of(first)) <= limit
+        assert dead > 50
+
+    def test_branch_tries_a_cheaper_unit_with_fewer_sets(self):
+        # unit 1 (cost 3) hits all four sets and unit 0 (cost 1) only the
+        # first: unit 1 goes first, but unit 0 is cheaper, so it is still
+        # tried, and {0, 4} beats {1}
+        sets = _search_order({0b11, 0b10110, 0b11010, 0b110010})
+        costs = {0: 1, 1: 3, 2: 1, 3: 1, 4: 1, 5: 1}
+        search = _CoverSearch(sets, costs, NODE_BUDGET)
+        assert search._branch(search.all, 0, 10, first=False) == 0b10001
+        assert search._branch(search.all, 0, 3, first=True) == 0b10001
+
+    def test_branch_skips_a_unit_an_earlier_one_replaces(self):
+        # units 0 and 1 hit both sets at the same cost, and unit 2 one of
+        # them: the lower id, 0, is the one tried, and the others are
+        # skipped, so the search is the root and one leaf
+        search = _CoverSearch([0b0111, 0b1011], dict.fromkeys(range(4), 1),
+                              NODE_BUDGET)
+        assert search._branch(search.all, 0, 10, first=False) == 0b1
+        assert search.nodes == 2
+
     def test_orbit_cover_matches_oracle_on_unequal_orbits(self):
         # a random graph beside two symmetric parts gives orbits of sizes 1
         # to 8, so the orbit search is weighted; at most 13 orbits each
@@ -576,30 +632,30 @@ def _gnp(seed, n, p):
 # (value, witness, nodes_explored, orbit_ids).
 SEARCH_TREES = [
     ("path:4", lambda: circulant(20, (1, 3)),
-     (8, (0, 2, 4, 6, 8, 12, 14, 16), 390, None),
+     (8, (0, 2, 4, 6, 8, 12, 14, 16), 260, None),
      (20, tuple(range(20)), 1, (0,))),
     ("cycle:4", lambda: circulant(21, (1, 2, 5)),
-     (9, (0, 1, 4, 7, 8, 11, 14, 15, 18), 1123, None),
+     (9, (0, 1, 4, 7, 8, 11, 14, 15, 18), 658, None),
      (21, tuple(range(21)), 1, (0,))),
     ("complete:3", lambda: kneser(7, 2),
-     (10, (0, 1, 2, 3, 6, 7, 8, 11, 12, 15), 401, None),
+     (10, (0, 1, 2, 3, 6, 7, 8, 11, 12, 15), 369, None),
      (21, tuple(range(21)), 1, (0,))),
     ("tailed-star:3", lambda: circulant(21, (1, 8)),
-     (7, (0, 3, 6, 9, 12, 15, 18), 572, None),
+     (7, (0, 3, 6, 9, 12, 15, 18), 301, None),
      (21, tuple(range(21)), 1, (0,))),
     # orbits of sizes 1 to 3, so the invariant search is weighted
     ("path:4", lambda: generate("union:cycle:8+path:7+path:9"),
-     (5, (0, 4, 11, 16, 20), 16, None),
-     (11, (0, 1, 2, 3, 4, 5, 6, 7, 11, 17, 21), 18, (0, 4, 7))),
+     (5, (0, 4, 11, 16, 20), 13, None),
+     (11, (0, 1, 2, 3, 4, 5, 6, 7, 11, 17, 21), 13, (0, 4, 7))),
     ("tailed-star:3", lambda: _rnd(3, 16),
-     (7, (0, 2, 3, 4, 5, 11, 15), 373, None),
-     (7, (0, 2, 3, 4, 5, 11, 15), 373, (0, 2, 3, 4, 5, 11, 15))),
+     (7, (0, 2, 3, 4, 5, 11, 15), 257, None),
+     (7, (0, 2, 3, 4, 5, 11, 15), 257, (0, 2, 3, 4, 5, 11, 15))),
     ("path:4", lambda: _rnd(5, 18),
-     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 447, None),
-     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 447,
+     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 420, None),
+     (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 420,
       (0, 1, 4, 5, 6, 7, 9, 12, 14, 17))),
     ("path:4", lambda: circulant(32, (1, 4)),
-     (15, (0, 1, 3, 5, 7, 10, 12, 13, 17, 18, 20, 23, 25, 27, 30), 47775,
+     (15, (0, 1, 3, 5, 7, 10, 12, 13, 17, 18, 20, 23, 25, 27, 30), 12629,
       None),
      (32, tuple(range(32)), 1, (0,))),
 ]
