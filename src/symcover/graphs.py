@@ -538,6 +538,6 @@ def canonical_form(g: Graph) -> str:
     Two graphs are isomorphic exactly when their canonical forms are equal.
     The label costs a maximum independent set (see ``lex_min_order``), so
     on large sparse graphs this raises ResourceLimitError at the search
-    budget; ``symmetry.is_isomorphic`` decides isomorphism without it.
+    budget.
     """
     return emit_graph6(canonical_graph(g))

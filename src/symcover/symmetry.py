@@ -1,4 +1,4 @@
-"""Automorphism groups, vertex orbits, transitivity and isomorphism tests.
+"""Automorphism groups, vertex orbits and transitivity.
 
 Permutations are tuples ``p`` with ``p[v]`` the image of vertex v.  The
 group is computed as a stabilizer chain whose base b_0, b_1, ... is the
@@ -10,9 +10,10 @@ when the group is far too large to enumerate.
 Witnesses come from the backtracking embedding search of ``copies``, run
 with the graph as both pattern and host: b_0..b_{t-1} may map only to
 themselves and b_t only to its candidate image, so the pinned vertices are
-the first ones placed; every other vertex maps into its ``refine_colors``
-class.  The search checks edges alone, which is enough, since an
-edge-preserving bijection of a finite graph onto itself is an automorphism.
+the first ones placed; every other vertex maps into its class under
+color refinement from the degrees.  The search checks edges alone, which
+is enough, since an edge-preserving bijection of a finite graph onto
+itself is an automorphism.
 Each level closes the orbit of b_t under the witnesses it has searched
 (Schreier-Sims orbit closure, Sims 1970): an image they already reach needs
 no search.  The group's generators are the searched witnesses of every
@@ -41,25 +42,17 @@ __all__ = [
     "automorphisms",
     "orbits",
     "is_vertex_transitive",
-    "is_isomorphic",
-    "refine_colors",
     "VERTEX_CAP",
 ]
 
 VERTEX_CAP = 64
 
 
-def refine_colors(g: Graph) -> tuple[int, ...]:
-    """Equitable vertex coloring: start from degrees and split classes by
-    the multiset of neighbor colors until stable.  The numbering depends
-    only on the isomorphism class, not the labeling."""
-    return _refined(g, [g.degree(v) for v in range(g.n)])
-
-
 def _refined(g: Graph, colors) -> tuple[int, ...]:
-    """The equitable coloring that ``refine_colors`` reaches from the
-    starting ``colors`` (any mutually comparable values, one per vertex).
-    Every automorphism that keeps the starting colors keeps the result."""
+    """The equitable coloring reached from the starting ``colors`` (any
+    mutually comparable values, one per vertex) by splitting classes by
+    the multiset of neighbor colors until stable.  Every automorphism that
+    keeps the starting colors keeps the result."""
     n = g.n
     while True:
         sigs = [
@@ -91,26 +84,6 @@ class AutomorphismGroup:
         return tuple(tuple(bits_of(m)) for m in self.masks)
 
 
-def _color_search(g: Graph, colors, host_colors):
-    """g's match order, back edges, and per position the host color mask."""
-    masks: dict[int, int] = {}
-    for x, col in enumerate(host_colors):
-        masks[col] = masks.get(col, 0) | 1 << x
-    order = _match_order(g)
-    return order, _back_edges(g, order), [masks[colors[v]] for v in order]
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """One embedding search of g into h that keeps each vertex in its
-    ``refine_colors`` class, whose numbering is labelling-invariant.  With
-    equal edge counts an injective edge-preserving map is an isomorphism."""
-    colors, host_colors = refine_colors(g), refine_colors(h)
-    if g.edge_count != h.edge_count or sorted(colors) != sorted(host_colors):
-        return False
-    _, back, elig = _color_search(g, colors, host_colors)
-    return _embed(h.rows, back, elig, lambda used, images: True)
-
-
 @lru_cache(maxsize=4096)
 def _automorphism_group(g: Graph) -> AutomorphismGroup:
     """The whole group, uncapped: orbits need only its generators."""
@@ -118,7 +91,8 @@ def _automorphism_group(g: Graph) -> AutomorphismGroup:
         raise ResourceLimitError(
             f"automorphism engine supports at most {VERTEX_CAP} vertices, "
             f"got {g.n}", limit=VERTEX_CAP)
-    order, generators = _chain(g, refine_colors(g))
+    degrees = [g.degree(v) for v in range(g.n)]
+    order, generators = _chain(g, _refined(g, degrees))
     # each orbit closes the lowest vertex not yet placed
     orbit_of = [-1] * g.n
     masks = []
@@ -145,8 +119,14 @@ def _chain(g: Graph, colors) -> tuple[int, tuple[tuple[int, ...], ...]]:
     levels generate the group."""
     n = g.n
     rows = g.rows
-    # the base is the match order, so the pinned vertices are a prefix of it
-    order, back, elig = _color_search(g, colors, colors)
+    # the base is the match order, so the pinned vertices are a prefix of
+    # it; each position maps only into its vertex's color class
+    classes: dict[int, int] = {}
+    for x, col in enumerate(colors):
+        classes[col] = classes.get(col, 0) | 1 << x
+    order = _match_order(g)
+    back = _back_edges(g, order)
+    elig = [classes[colors[v]] for v in order]
     found = []
 
     def leaf(used: int, images) -> bool:

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import symcover
 
+ROOT = Path(__file__).resolve().parent.parent
 SOURCE = Path(symcover.__file__).resolve().parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 MODULES = [importlib.import_module(f"symcover.{path.stem}")
            for path in sorted(SOURCE.glob("*.py"))
            if not path.stem.startswith("__")]
@@ -79,3 +82,16 @@ def test_star_import_binds_exactly_the_package_list():
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(symcover.__all__)
     assert len(symcover.__all__) == len(set(symcover.__all__))
+
+
+# the workflow is read as text: CI installs no YAML parser
+def test_workflow_runs_no_inline_python():
+    # every check past tier-1 is a committed script under tests/ci/
+    assert re.findall(r"python3? +-c\b", WORKFLOW.read_text()) == []
+
+
+def test_each_ci_script_runs_in_exactly_one_step():
+    named = re.findall(r"tests/ci/\w+\.py", WORKFLOW.read_text())
+    scripts = [f"tests/ci/{path.name}"
+               for path in (ROOT / "tests" / "ci").glob("*.py")]
+    assert sorted(named) == sorted(scripts)
