@@ -270,11 +270,10 @@ def check_orbit_density(pattern: Graph, host: Graph, marked=None,
     family = footprints_of(pattern, host, cap=cap)
     report = extremality_report(pattern, host, cap, node_budget)
     plain = report.plain
-    if marked is None:
-        x = tuple(plain.witness)
-    else:
-        x = tuple(sorted(set(marked)))
-        _require_hit(family.masks, _as_mask(x, host.n, "marked set"))
+    x = tuple(plain.witness if marked is None else sorted(set(marked)))
+    x_mask = _as_mask(x, host.n, "marked set")
+    if marked is not None:
+        _require_hit(family.masks, x_mask)
         if len(x) != plain.value:
             raise PreconditionError(
                 f"marked set has size {len(x)} but the minimum is "
@@ -284,7 +283,6 @@ def check_orbit_density(pattern: Graph, host: Graph, marked=None,
         return OrbitDensityReport(pattern_order=m, marked=x,
                                   applicable=False)
     part = orbits(host)
-    x_mask = _as_mask(x, host.n, "marked set")
     touched = 0
     for fm in family.masks:
         touched |= fm

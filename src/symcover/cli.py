@@ -22,8 +22,7 @@ from .checks import (build_pair_weight, check_extremal_boundary,
                      weight_orbit, weighted_symmetrize)
 from .copies import FOOTPRINT_CAP, footprints_of
 from .covers import NODE_BUDGET, extremality_report, vertex_representativity
-from .errors import (GraphParseError, PreconditionError,
-                     ResourceLimitError, SymcoverError)
+from .errors import GraphParseError, PreconditionError, SymcoverError
 from .graphs import (_UNARY_KINDS, Graph, emit_graph6, generate,
                      is_connected, parse_edge_list, parse_graph6)
 from .report import rat, render_human
@@ -370,7 +369,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         # None only on a subcommand that takes the flag and was not given it
         if getattr(args, "node_budget", 0) is None:
@@ -385,11 +384,7 @@ def main(argv=None) -> int:
                 setattr(args, name, _load_graph(getattr(args, name)))
         doc, code = args.func(args)
     except SymcoverError as exc:
-        message = str(exc)
-        if (isinstance(exc, ResourceLimitError)
-                and exc.best_lower is not None and exc.best_upper is not None):
-            message += f"; optimum in [{exc.best_lower}, {exc.best_upper}]"
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "json", False):
         print(json.dumps(doc, indent=2))

@@ -16,7 +16,6 @@ still collapse to one footprint.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -150,10 +149,8 @@ def _embed(hrows, back, elig, leaf, above=None) -> bool:
     try:
         return place(0, 0)
     except RecursionError:
-        limit = sys.getrecursionlimit()
-        raise ResourceLimitError(
-            f"embedding search of {k} positions went deeper than the "
-            f"recursion limit {limit}", limit=limit) from None
+        raise ResourceLimitError.too_deep(
+            f"embedding search of {k} positions") from None
 
 
 def _run_matcher(pattern: Graph, host: Graph, *, first_only: bool,

@@ -26,7 +26,6 @@ footprint.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -308,10 +307,8 @@ class _CoverSearch:
         try:
             dfs(live, banned, 0, 0)
         except RecursionError:
-            limit = sys.getrecursionlimit()
-            raise ResourceLimitError(
-                f"cover search went deeper than the recursion limit {limit}",
-                limit=limit, best_lower=self.lower,
+            raise ResourceLimitError.too_deep(
+                "cover search", best_lower=self.lower,
                 best_upper=self.upper) from None
         self._charge(nodes)
         return best

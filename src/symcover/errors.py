@@ -1,6 +1,8 @@
 """Exception types shared across the library."""
 from __future__ import annotations
 
+import sys
+
 __all__ = [
     "SymcoverError",
     "GraphParseError",
@@ -55,18 +57,30 @@ class WeightConstructionError(SymcoverError):
 
 
 class ResourceLimitError(SymcoverError):
-    """An explicit budget (node count, enumeration cap, orbit images built) was hit.
+    """An explicit budget (node count, enumeration cap, orbit images built)
+    or the interpreter's recursion limit was hit.
 
     Carries whatever partial knowledge the computation had, so callers can
-    report honest bounds instead of a silently truncated answer.
+    report honest bounds instead of a silently truncated answer.  When both
+    bounds are known the message ends with ``; optimum in [lower, upper]``.
     """
 
     def __init__(self, message: str, *, limit=None,
                  best_lower=None, best_upper=None):
+        if best_lower is not None and best_upper is not None:
+            message = f"{message}; optimum in [{best_lower}, {best_upper}]"
         super().__init__(message)
         self.limit = limit
         self.best_lower = best_lower
         self.best_upper = best_upper
+
+    @classmethod
+    def too_deep(cls, search: str, **known) -> "ResourceLimitError":
+        """The stop of a recursive ``search`` that ran out of interpreter
+        frames; ``known`` holds the bounds it had reached."""
+        limit = sys.getrecursionlimit()
+        return cls(f"{search} went deeper than the recursion limit {limit}",
+                   limit=limit, **known)
 
 
 class VerificationError(SymcoverError):

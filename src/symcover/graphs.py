@@ -8,20 +8,18 @@ arithmetic, which keeps the exhaustive searches in the rest of the library
 fast enough for desk scale without any compiled dependency.  Edge lists
 enter through ``Graph(n, edges)``, which validates them, and leave through
 ``edges()``; every graph derived from another graph or from graph6 bits is
-built from its rows.
+built from its rows.  Named families enter through ``generate``, the one
+reader of family strings, which checks every component of a union before
+it builds any.
 """
 from __future__ import annotations
 
-import sys
 from binascii import a2b_base64, b2a_base64
-from dataclasses import dataclass
 
 from .errors import FamilySpecError, GraphParseError, ResourceLimitError
 
 __all__ = [
     "Graph",
-    "FamilySpec",
-    "parse_family_spec",
     "generate",
     "parse_graph6",
     "emit_graph6",
@@ -132,87 +130,61 @@ class Graph:
 _UNARY_KINDS = ("complete", "cocktail", "tailed-star", "cycle", "path")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parsed form of a family string such as ``complete:5`` or
-    ``union:complete:5+cycle:3``."""
-
-    kind: str
-    param: int = 0
-    parts: tuple["FamilySpec", ...] = ()
-
-
-def parse_family_spec(text: str) -> FamilySpec:
+def _components(text: str) -> list[tuple[str, int]]:
+    """The (kind, parameter) of each family a spec string names, all of
+    them checked; raises FamilySpecError at the first bad one."""
     text = text.strip()
     if not text:
         raise FamilySpecError("empty family spec")
     if text.startswith("union:"):
-        body = text[len("union:"):]
-        part_texts = body.split("+")
-        if len(part_texts) < 2:
+        parts = text[len("union:"):].split("+")
+        if len(parts) < 2:
             raise FamilySpecError(
                 "union needs at least two '+'-separated components"
             )
-        parts = tuple(parse_family_spec(p) for p in part_texts)
-        for p in parts:
-            if p.kind == "union":
-                raise FamilySpecError("nested union is not expressible; "
-                                      "list all components in one union")
-        return FamilySpec("union", 0, parts)
+        # a component holds no '+', so a union among them fails above
+        return [spec for part in parts for spec in _components(part)]
     kind, sep, raw = text.partition(":")
     if not sep or kind not in _UNARY_KINDS:
         raise FamilySpecError(f"unknown family spec {text!r}")
     try:
-        param = int(raw)
+        n = int(raw)
     except ValueError:
         raise FamilySpecError(f"parameter of {kind!r} must be an integer, "
                               f"got {raw!r}") from None
-    if param <= 0:
+    if n <= 0:
         raise FamilySpecError(f"parameter of {kind!r} must be positive")
-    if kind == "cocktail" and param % 2:
+    if kind == "cocktail" and n % 2:
         raise FamilySpecError(
-            f"cocktail:{param} rejected: an odd order would need degree sum "
-            f"{param}*({param}-2), which is odd and therefore not graphical"
+            f"cocktail:{n} rejected: an odd order would need degree sum "
+            f"{n}*({n}-2), which is odd and therefore not graphical"
         )
-    if kind == "cycle" and param < 3:
+    if kind == "cycle" and n < 3:
         raise FamilySpecError("cycle needs at least 3 vertices")
-    if kind == "cocktail" and param < 2:
-        raise FamilySpecError("cocktail needs at least 2 vertices")
-    return FamilySpec(kind, param)
+    return [(kind, n)]
 
 
-def generate(spec) -> Graph:
-    """Build the graph named by a FamilySpec or family string."""
-    if isinstance(spec, str):
-        spec = parse_family_spec(spec)
-    k, n = spec.kind, spec.param
-    if k == "complete":
-        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if k == "cocktail":
-        # complete graph minus the perfect matching (0,1),(2,3),...
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if not (i // 2 == j // 2)
-        ]
-        return Graph(n, edges)
-    if k == "tailed-star":
-        # center 0 with rays 1..d, plus a pendant d+1 hanging off ray 1
-        d = n
-        edges = [(0, i) for i in range(1, d + 1)]
-        edges.append((1, d + 1))
-        return Graph(d + 2, edges)
-    if k == "cycle":
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if k == "path":
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
-    if k == "union":
-        g = Graph(0)
-        for part in spec.parts:
-            g = disjoint_union(g, generate(part))
-        return g
-    raise FamilySpecError(f"unknown family kind {k!r}")
+def generate(text: str) -> Graph:
+    """Build the graph a family string names, such as ``complete:5`` or
+    ``union:complete:5+cycle:3``.  Every component of a union is checked
+    before any is built."""
+    g = Graph(0)
+    for kind, n in _components(text):
+        if kind == "complete":
+            h = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        elif kind == "cocktail":
+            # complete graph minus the perfect matching (0,1),(2,3),...
+            h = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                          if i // 2 != j // 2])
+        elif kind == "tailed-star":
+            # center 0 with rays 1..n, plus a pendant n+1 hanging off ray 1
+            h = Graph(n + 2, [(0, i) for i in range(1, n + 1)] + [(1, n + 1)])
+        elif kind == "cycle":
+            h = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        else:  # path
+            h = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        g = disjoint_union(g, h)
+    return g
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -517,10 +489,8 @@ def lex_min_order(n: int, rows,
     try:
         return None if n and dfs([(0, (1 << n) - 1)]) else best_order
     except RecursionError:
-        limit = sys.getrecursionlimit()
-        raise ResourceLimitError(
-            f"lex-min search on {n} vertices went deeper than the recursion "
-            f"limit {limit}", limit=limit) from None
+        raise ResourceLimitError.too_deep(
+            f"lex-min search on {n} vertices") from None
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -11,7 +11,11 @@ ROOT = Path(__file__).resolve().parents[2]
 out = subprocess.run(
     [sys.executable, "-m", "symcover", "search", "connected-extremal",
      "--tail", "3", "--max-n", "8", "--json"], cwd=ROOT, text=True,
-    stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    capture_output=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+if out.returncode:
+    # stdout holds no document when the CLI stops with an error
+    sys.exit(f"symcover exited {out.returncode}:\n"
+             + "\n".join(out.stderr.splitlines()[-20:]))
 doc = json.loads(out.stdout)
 # every connected class on 5-8 vertices, as scanned at b8e5223; the
 # records digest is the SHA-256 of the record lines, one per line

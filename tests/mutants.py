@@ -223,6 +223,24 @@ MUTANTS = (
            '        for name in ("graph", "pattern", "host"):\n',
            '        for name in ("graph", "host", "pattern"):\n',
            ("tests/test_cli.py::TestLoadOrder",)),
+    Mutant("cycle accepts two vertices",
+           "symcover/graphs.py",
+           '    if kind == "cycle" and n < 3:\n',
+           '    if kind == "cycle" and n < 2:\n',
+           ("tests/test_graphs.py::TestFamilies",)),
+    Mutant("union accepts one component",
+           "symcover/graphs.py",
+           "        if len(parts) < 2:\n",
+           "        if len(parts) < 1:\n",
+           ("tests/test_graphs.py::TestFamilies",)),
+    Mutant("stop drops its bounds",
+           "symcover/errors.py",
+           '            message = f"{message}; optimum in [{best_lower}, '
+           '{best_upper}]"\n',
+           "            pass\n",
+           ("tests/test_covers.py::TestRepresentativity::"
+            "test_stops_word_their_bounds",
+            "tests/test_cli.py::TestRepr::test_recursion_limit_exits_2")),
 )
 
 

@@ -494,6 +494,22 @@ class TestRepresentativity:
         assert stop.value.limit < 300
         assert stop.value.best_lower == stop.value.best_upper == 150
 
+    def test_stops_word_their_bounds(self):
+        # a library caller reads the bounds in the message the CLI prints
+        with pytest.raises(ResourceLimitError) as stop:
+            vertex_representativity(generate("complete:3"),
+                                    generate("complete:9"), node_budget=5)
+        lower, upper = stop.value.best_lower, stop.value.best_upper
+        assert str(stop.value) == ("cover search exceeded the node budget "
+                                   f"5; optimum in [{lower}, {upper}]")
+        with frames_left(100), pytest.raises(ResourceLimitError) as stop:
+            vertex_representativity(generate("path:2"), generate("path:300"))
+        assert str(stop.value) == (
+            "cover search went deeper than the recursion limit "
+            f"{stop.value.limit}; optimum in [150, 150]")
+        # one bound alone is not worded
+        assert str(ResourceLimitError("stop", best_upper=4)) == "stop"
+
 
 class TestExtremalityReport:
     def test_expensive_instance(self, k5):

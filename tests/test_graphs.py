@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -25,7 +26,6 @@ from symcover.graphs import (
     is_regular,
     lex_min_order,
     parse_edge_list,
-    parse_family_spec,
     parse_graph6,
 )
 from symcover.search import _complement, enum_graphs
@@ -35,6 +35,66 @@ def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return Graph(n, edges)
+
+
+# every kind at parameters 1-12 and every union string of the tests, the
+# demos and the README, with the graph6 of the graph each one names
+FAMILY_GRAPH6 = {
+    "complete:1": "@", "complete:2": "A_", "complete:3": "Bw",
+    "complete:4": "C~", "complete:5": "D~{", "complete:6": "E~~w",
+    "complete:7": "F~~~w", "complete:8": "G~~~~{", "complete:9": "H~~~~~~",
+    "complete:10": "I~~~~~~~w", "complete:11": "J~~~~~~~~~_",
+    "complete:12": "K~~~~~~~~~~~",
+    "cocktail:2": "A?", "cocktail:4": "C]", "cocktail:6": "E]~o",
+    "cocktail:8": "G]~v~w", "cocktail:10": "I]~v~z~~o",
+    "cocktail:12": "K]~v~z~~v~~}",
+    "tailed-star:1": "Bg", "tailed-star:2": "Cq", "tailed-star:3": "DsO",
+    "tailed-star:4": "Es`?", "tailed-star:5": "FsaA?",
+    "tailed-star:6": "GsaCA?", "tailed-star:7": "HsaCC@?",
+    "tailed-star:8": "IsaCCA?O?", "tailed-star:9": "JsaCCA?_A??",
+    "tailed-star:10": "KsaCCA?_C?G?", "tailed-star:11": "LsaCCA?_C?O?O?",
+    "tailed-star:12": "MsaCCA?_C?O?_?O??",
+    "cycle:3": "Bw", "cycle:4": "Cl", "cycle:5": "Dhc", "cycle:6": "EhEG",
+    "cycle:7": "FhCKG", "cycle:8": "GhCGKC", "cycle:9": "HhCGGE@",
+    "cycle:10": "IhCGGC@_G", "cycle:11": "JhCGGC@?K?_",
+    "cycle:12": "KhCGGC@?G?o@",
+    "path:1": "@", "path:2": "A_", "path:3": "Bg", "path:4": "Ch",
+    "path:5": "DhC", "path:6": "EhCG", "path:7": "FhCGG", "path:8": "GhCGGC",
+    "path:9": "HhCGGC@", "path:10": "IhCGGC@?G", "path:11": "JhCGGC@?G?_",
+    "path:12": "KhCGGC@?G?_@",
+    "union:complete:2+complete:2": "C`",
+    "union:complete:3+complete:5": "GwCWw{",
+    "union:complete:3+cycle:4": "FwCGg",
+    "union:complete:3+cycle:4+path:2": "HwCGg?@",
+    "union:complete:3+path:2": "DwC",
+    "union:complete:5+complete:5": "I~{?GKF@w",
+    "union:cycle:8+path:5+path:7": "ShCGKC??G?_@?@????G?@??C??G??G??C",
+    "union:cycle:8+path:7+path:9":
+        "WhCGKC??G?_@?@??_?G????C??G??G??C??@???G???_??@",
+    "union:path:2+cycle:3": "D`K",
+    " union: path:3 + cycle:4 ": "FgCGg",
+}
+
+# malformed spec strings and the message each one raises
+BAD_FAMILY_SPECS = {
+    "": "empty family spec",
+    "wheel:5": "unknown family spec 'wheel:5'",
+    "union": "unknown family spec 'union'",
+    "complete:x": "parameter of 'complete' must be an integer, got 'x'",
+    "complete:5:3": "parameter of 'complete' must be an integer, got '5:3'",
+    "path:0": "parameter of 'path' must be positive",
+    "path:-1": "parameter of 'path' must be positive",
+    **{f"cocktail:{n}": f"cocktail:{n} rejected: an odd order would need "
+       f"degree sum {n}*({n}-2), which is odd and therefore not graphical"
+       for n in (1, 3, 5, 7, 9, 11)},
+    "cycle:1": "cycle needs at least 3 vertices",
+    "cycle:2": "cycle needs at least 3 vertices",
+    "union:": "union needs at least two '+'-separated components",
+    "union:path:3": "union needs at least two '+'-separated components",
+    "union:path:2+union:cycle:3+path:2":
+        "union needs at least two '+'-separated components",
+    "union:path:3+": "empty family spec",
+}
 
 
 class TestGraph:
@@ -107,11 +167,30 @@ class TestFamilies:
 
     def test_unknown_family_rejected(self):
         with pytest.raises(FamilySpecError):
-            parse_family_spec("wheel:5")
+            generate("wheel:5")
 
     def test_bad_parameter_rejected(self):
         with pytest.raises(FamilySpecError):
-            parse_family_spec("complete:x")
+            generate("complete:x")
+
+    def test_spec_strings_build_their_pinned_graphs(self):
+        # equal rows make equal values and equal hashes
+        for spec, g6 in FAMILY_GRAPH6.items():
+            g, want = generate(spec), parse_graph6(g6)
+            assert (g, hash(g)) == (want, hash(want)), spec
+
+    def test_bad_spec_strings_name_their_fault(self):
+        for spec, message in BAD_FAMILY_SPECS.items():
+            with pytest.raises(FamilySpecError) as info:
+                generate(spec)
+            assert str(info.value) == message, spec
+
+    def test_union_checks_every_component_before_building_one(self):
+        # building complete:100000 would take minutes
+        start = time.perf_counter()
+        with pytest.raises(FamilySpecError, match="'wheel:5'"):
+            generate("union:complete:100000+wheel:5")
+        assert time.perf_counter() - start < 0.5
 
 
 class TestGraph6:

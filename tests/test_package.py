@@ -49,6 +49,17 @@ def test_only_the_printed_form_reads_edges_back():
     assert callers == ["graphs.Graph.__repr__"]
 
 
+def test_only_errors_words_the_recursion_stop():
+    # ResourceLimitError.too_deep reads the limit and words the stop of
+    # every recursive search
+    found = [f"{path.name}: {text}" for path in sorted(SOURCE.glob("*.py"))
+             for text in ("getrecursionlimit",
+                          "went deeper than the recursion limit")
+             if text in path.read_text()]
+    assert found == ["errors.py: getrecursionlimit",
+                     "errors.py: went deeper than the recursion limit"]
+
+
 def test_every_exported_name_resolves():
     # a name left in __all__ after its definition moved breaks star imports
     missing = [f"{module.__name__}.{name}" for module in [symcover, *MODULES]
