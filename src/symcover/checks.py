@@ -21,9 +21,9 @@ from .covers import symmetric_vertex_representativity, vertex_representativity
 from .errors import (NotAHittingSetError, PreconditionError,
                      ResourceLimitError, VerificationError,
                      WeightConstructionError)
-from .graphs import (Graph, bits_of, has_pendant_vertex, is_connected,
-                     is_regular)
-from .report import rat
+from .graphs import (Graph, _as_mask, _require_permutation, bits_of,
+                     has_pendant_vertex, is_connected, is_regular)
+from .report import _rational, rat
 from .symmetry import _chain, _refined, automorphisms, orbits
 
 __all__ = [
@@ -51,16 +51,6 @@ __all__ = [
 ELEMENT_CAP = 10**6
 
 
-def _as_mask(vertices, n: int, what: str) -> int:
-    mask = 0
-    for v in vertices:
-        if not (0 <= v < n):
-            raise PreconditionError(f"{what} contains vertex {v}, "
-                                    f"outside 0..{n - 1}")
-        mask |= 1 << v
-    return mask
-
-
 def _require_hit(masks, x_mask: int) -> None:
     """Raise NotAHittingSetError naming the lexicographically least
     footprint that no vertex of ``x_mask`` meets."""
@@ -69,16 +59,23 @@ def _require_hit(masks, x_mask: int) -> None:
         raise NotAHittingSetError(min(missed))
 
 
-def _orbits_holding_a_footprint(part, masks) -> set[int]:
-    """Ids of the orbits holding a whole footprint, i.e. whose induced
-    subgraph carries the pattern.  Only its lowest vertex's orbit can hold
-    a footprint, so one test per footprint decides."""
+def _orbit_table(host: Graph, x_mask: int = 0,
+                 masks=()) -> list[tuple[int, int, bool, bool]]:
+    """One row per orbit of the host, by orbit id: the orbit's mask, its
+    count of vertices in ``x_mask``, whether a footprint of ``masks`` meets
+    it, and whether one lies wholly inside it, i.e. whether its induced
+    subgraph carries the pattern.  Only the orbit of a footprint's lowest
+    vertex can hold it, so one test per footprint decides."""
+    part = orbits(host)
+    touched = 0
     held = set()
     for fm in masks:
+        touched |= fm
         oid = part.orbit_of[(fm & -fm).bit_length() - 1]
         if not fm & ~part.masks[oid]:
             held.add(oid)
-    return held
+    return [(om, (om & x_mask).bit_count(), bool(om & touched), oid in held)
+            for oid, om in enumerate(part.masks)]
 
 
 # -- orbit sum lower bound ----------------------------------------------------
@@ -122,15 +119,13 @@ def verify_orbit_sum_bound(pattern: Graph, host: Graph, marked,
     """
     family = footprints_of(pattern, host, cap=cap)
     x_mask = _as_mask(marked, host.n, "marked set")
-    part = orbits(host)
+    table = _orbit_table(host, x_mask)
     _require_hit(family.masks, x_mask)
     # over the lcm of the orbit sizes each sum is one integer: a vertex of
     # orbit V adds |X∩V|·lcm/|V|, and F holds |F∩V| such vertices
-    denom = lcm(*(om.bit_count() for om in part.masks))
-    weight = []
-    for oid in part.orbit_of:
-        om = part.masks[oid]
-        weight.append((om & x_mask).bit_count() * denom // om.bit_count())
+    denom = lcm(*(om.bit_count() for om, *_ in table))
+    weight = {v: inter * denom // om.bit_count()
+              for om, inter, *_ in table for v in bits_of(om)}
     rows = []
     for m in family.masks:
         fp = tuple(bits_of(m))
@@ -210,21 +205,17 @@ def check_extremal_boundary(pattern: Graph, host: Graph,
     if not report.is_extremal:
         return BoundaryReport(pattern_order=m, plain=plain,
                               invariant=invariant, applicable=False)
-    part = orbits(host)
-    x_mask = _as_mask(plain.witness, host.n, "witness")
-    meeting = [oid for oid, om in enumerate(part.masks) if om & x_mask]
-    cond1_fail = tuple(
-        oid for oid in meeting
-        if part.masks[oid].bit_count()
-        != m * (part.masks[oid] & x_mask).bit_count()
-    )
-    meeting_mask = 0
-    for oid in meeting:
-        meeting_mask |= part.masks[oid]
+    table = _orbit_table(host, _as_mask(plain.witness, host.n, "witness"),
+                         family.masks)
+    meeting = [(oid, om, inter, held)
+               for oid, (om, inter, _, held) in enumerate(table) if inter]
+    cond1_fail = tuple(oid for oid, om, inter, _ in meeting
+                       if om.bit_count() != m * inter)
+    # the orbits are disjoint, so their sum is their union
+    closure = sum(om for _, om, _, _ in meeting)
     cond2_fail = tuple(sorted(tuple(bits_of(fm)) for fm in family.masks
-                              if fm & ~meeting_mask))
-    held = _orbits_holding_a_footprint(part, family.masks)
-    cond3_fail = tuple(oid for oid in meeting if oid not in held)
+                              if fm & ~closure))
+    cond3_fail = tuple(oid for oid, _, _, held in meeting if not held)
     return BoundaryReport(
         pattern_order=m,
         plain=plain,
@@ -282,20 +273,12 @@ def check_orbit_density(pattern: Graph, host: Graph, marked=None,
     if not report.is_extremal:
         return OrbitDensityReport(pattern_order=m, marked=x,
                                   applicable=False)
-    part = orbits(host)
-    touched = 0
-    for fm in family.masks:
-        touched |= fm
     rows = []
-    holds = True
-    for oid, om in enumerate(part.masks):
+    table = _orbit_table(host, x_mask, family.masks)
+    for oid, (om, inter, meets, _) in enumerate(table):
         size = om.bit_count()
-        inter = (om & x_mask).bit_count()
-        meets = bool(om & touched)
         density = Fraction(inter, size)
         expected = Fraction(1, m) if meets else Fraction(0)
-        ok = density == expected
-        holds = holds and ok
         rows.append({
             "orbit": oid,
             "size": size,
@@ -303,10 +286,11 @@ def check_orbit_density(pattern: Graph, host: Graph, marked=None,
             "density": rat(density),
             "meets_pattern": meets,
             "expected": rat(expected),
-            "ok": ok,
+            "ok": density == expected,
         })
     return OrbitDensityReport(pattern_order=m, marked=x, applicable=True,
-                              rows=tuple(rows), holds=holds)
+                              rows=tuple(rows),
+                              holds=all(row["ok"] for row in rows))
 
 
 # -- orbits contain the pattern --------------------------------------------------
@@ -349,10 +333,8 @@ def check_orbit_pattern_containment(
     applicable = all(v for _, v in pre)
     if not applicable:
         return OrbitContainmentReport(preconditions=pre, applicable=False)
-    part = orbits(host)
-    held = _orbits_holding_a_footprint(
-        part, footprints_of(pattern, host, cap).masks)
-    rows = tuple((oid, oid in held) for oid in range(len(part.masks)))
+    table = _orbit_table(host, masks=footprints_of(pattern, host, cap).masks)
+    rows = tuple((oid, held) for oid, (*_, held) in enumerate(table))
     first_fail = next((oid for oid, ok in rows if not ok), None)
     return OrbitContainmentReport(
         preconditions=pre,
@@ -476,16 +458,16 @@ def verify_orbit_expansion(host: Graph, orbit_a, orbit_b,
                                 "one orbit of the host")
     if a_mask == b_mask:
         raise PreconditionError("orbit_a and orbit_b must be distinct")
-    s1 = sorted(set(source))
-    if not set(s1) <= set(bits_of(a_mask)):
+    s1_mask = _as_mask(source, host.n, "source set")
+    if s1_mask & ~a_mask:
         raise PreconditionError("source set must lie inside orbit_a")
     if not any(host.rows[v] & b_mask for v in bits_of(a_mask)):
         raise PreconditionError("no edge joins the two orbits")
-    s1_mask = sum(1 << v for v in s1)
     s2_mask = sum(1 << v for v in bits_of(b_mask) if host.rows[v] & s1_mask)
-    bound = Fraction(len(s1) * b_mask.bit_count(), a_mask.bit_count())
+    bound = Fraction(s1_mask.bit_count() * b_mask.bit_count(),
+                     a_mask.bit_count())
     return OrbitExpansionReport(
-        source=tuple(s1),
+        source=tuple(bits_of(s1_mask)),
         image=tuple(bits_of(s2_mask)),
         bound=bound,
         holds=s2_mask.bit_count() >= bound,
@@ -500,15 +482,12 @@ def weighted_symmetrize(host: Graph, marked, max_total) -> tuple[int, ...]:
     whose footprints have at most ``max_total`` vertices, the result is an
     invariant hitting set of size at most |X|·max_total."""
     x_mask = _as_mask(marked, host.n, "marked set")
-    m = Fraction(max_total)
+    m = _rational(max_total)
     if m < 0:
         raise PreconditionError("max_total must be nonnegative")
-    part = orbits(host)
-    out_mask = 0
-    for om in part.masks:
-        if (om & x_mask).bit_count() * m >= om.bit_count():
-            out_mask |= om
-    return tuple(bits_of(out_mask))
+    table = _orbit_table(host, x_mask)
+    return tuple(bits_of(sum(om for om, inter, *_ in table
+                             if inter * m >= om.bit_count())))
 
 
 # -- weight functions ---------------------------------------------------------------
@@ -519,13 +498,13 @@ class WeightFunction:
     __slots__ = ("graph", "entries")
 
     def __init__(self, graph: Graph, mapping):
+        mapping = dict(mapping)
+        _as_mask(mapping, graph.n, "weight function")
         items = []
-        for v, w in sorted(dict(mapping).items()):
-            if not (0 <= v < graph.n):
-                raise ValueError(f"weighted vertex {v} outside 0..{graph.n - 1}")
-            w = Fraction(w)
+        for v, w in sorted(mapping.items()):
+            w = _rational(w)
             if w < 0:
-                raise ValueError(f"negative weight {w} at vertex {v}")
+                raise PreconditionError(f"negative weight {w} at vertex {v}")
             if w:
                 items.append((v, w))
         self.graph = graph
@@ -551,8 +530,7 @@ class WeightFunction:
 
     def translate(self, perm) -> "WeightFunction":
         """The composed function u -> value(perm[u]) for a permutation."""
-        if sorted(perm) != list(range(self.graph.n)):
-            raise ValueError("relabeling must be a permutation of 0..n-1")
+        _require_permutation(perm, self.graph.n)
         weights = dict(self.entries)
         return WeightFunction(self.graph, {u: weights.get(p, 0)
                                            for u, p in enumerate(perm)})

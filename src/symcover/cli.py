@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .checks import (build_pair_weight, check_extremal_boundary,
@@ -25,7 +24,7 @@ from .covers import NODE_BUDGET, extremality_report, vertex_representativity
 from .errors import GraphParseError, PreconditionError, SymcoverError
 from .graphs import (_UNARY_KINDS, Graph, emit_graph6, generate,
                      is_connected, parse_edge_list, parse_graph6)
-from .report import rat, render_human
+from .report import _rational, rat, render_human
 from .search import (classify_vt_extremal, find_dense_counterexample,
                      scan_connected_extremal)
 from .symmetry import is_vertex_transitive, orbits
@@ -58,51 +57,36 @@ def _load_graph(arg: str) -> Graph:
     return parse_edge_list(text)
 
 
-def _parse_vertices(text: str) -> tuple[int, ...]:
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            out.append(int(token))
-        except ValueError:
-            raise PreconditionError(
-                f"vertex list entry {token!r} is not an integer") from None
-    return tuple(out)
-
-
-def _parse_fraction(text: str) -> Fraction:
+def _int(text: str, message: str) -> int:
+    """``text`` read as an integer; PreconditionError(message) if it is
+    not one."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(
-            f"{text!r} is not an exact rational (use p or p/q)") from None
+        return int(text)
+    except ValueError:
+        raise PreconditionError(message) from None
+
+
+def _parse_vertices(text: str) -> tuple[int, ...]:
+    tokens = [token.strip() for token in text.split(",")]
+    return tuple(_int(token, f"vertex list entry {token!r} is not an integer")
+                 for token in tokens if token)
 
 
 def _parse_degree_range(text: str) -> list[int]:
     text = text.strip()
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
-            raise PreconditionError(
-                f"degree range {text!r} must be lo..hi") from None
-        return list(range(lo, hi + 1))
-    return list(_parse_vertices(text))
+    if ".." not in text:
+        return list(_parse_vertices(text))
+    lo, hi = (_int(part, f"degree range {text!r} must be lo..hi")
+              for part in text.split("..", 1))
+    return list(range(lo, hi + 1))
 
 
 def _env_int(name: str, fallback: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise PreconditionError(
-            f"environment variable {name} must be an integer, "
-            f"got {raw!r}") from None
+    return _int(raw, f"environment variable {name} must be an integer, "
+                     f"got {raw!r}")
 
 
 # -- subcommand handlers; each returns (doc, exit_code) ----------------------
@@ -216,7 +200,7 @@ def _cmd_check_weights(args):
 
 def _cmd_symmetrize(args):
     marked = _parse_vertices(args.set)
-    bound = _parse_fraction(args.max_weight)
+    bound = _rational(args.max_weight)
     result = weighted_symmetrize(args.host, marked, bound)
     doc = {
         "marked": sorted(set(marked)),

@@ -41,7 +41,7 @@ class CopyFamily:
         # starting from -1 refuses a negative mask too
         for prev, m in zip((-1, *self.masks), self.masks):
             if m <= prev or m.bit_count() != self.pattern_order:
-                raise ValueError(
+                raise PreconditionError(
                     f"footprint mask {m:#b} is out of order or has other "
                     f"than {self.pattern_order} bits")
 

@@ -34,8 +34,9 @@ class FamilySpecError(SymcoverError):
     """Invalid graph family specification string or parameters."""
 
 
-class PreconditionError(SymcoverError):
-    """Input violates an operation's stated contract."""
+class PreconditionError(SymcoverError, ValueError):
+    """Input violates an operation's stated contract: the one error for a
+    bad argument, so it is a ``ValueError`` too."""
 
 
 class NotAHittingSetError(PreconditionError):

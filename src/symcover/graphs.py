@@ -9,14 +9,17 @@ fast enough for desk scale without any compiled dependency.  Edge lists
 enter through ``Graph(n, edges)``, which validates them, and leave through
 ``edges()``; every graph derived from another graph or from graph6 bits is
 built from its rows.  Named families enter through ``generate``, the one
-reader of family strings, which checks every component of a union before
-it builds any.
+reader of family strings, which checks every component of a union and the
+size of the whole before it builds any.  Vertex sets enter through
+``_as_mask`` and relabellings through ``_require_permutation``, here and in
+``checks``; every bad argument raises ``PreconditionError``.
 """
 from __future__ import annotations
 
 from binascii import a2b_base64, b2a_base64
 
-from .errors import FamilySpecError, GraphParseError, ResourceLimitError
+from .errors import (FamilySpecError, GraphParseError, PreconditionError,
+                     ResourceLimitError)
 
 __all__ = [
     "Graph",
@@ -42,6 +45,24 @@ def bits_of(mask: int):
         mask ^= low
 
 
+def _as_mask(vertices, n: int, what: str) -> int:
+    """The mask of a collection of vertices of an n-vertex graph: the one
+    reader of vertex sets, refusing a vertex outside 0..n-1."""
+    mask = 0
+    for v in vertices:
+        if not (0 <= v < n):
+            raise PreconditionError(f"{what} contains vertex {v}, "
+                                    f"outside 0..{n - 1}")
+        mask |= 1 << v
+    return mask
+
+
+def _require_permutation(perm, n: int) -> None:
+    """Refuse a relabelling that is not a permutation of 0..n-1."""
+    if sorted(perm) != list(range(n)):
+        raise PreconditionError("relabeling must be a permutation of 0..n-1")
+
+
 class Graph:
     """Finite undirected simple graph: its adjacency rows, one bitmask per
     vertex.  ``Graph(n, edges)`` builds one from an edge list and refuses
@@ -51,13 +72,13 @@ class Graph:
 
     def __init__(self, n: int, edges=()):
         if n < 0:
-            raise ValueError("vertex count must be >= 0")
+            raise PreconditionError("vertex count must be >= 0")
         rows = [0] * n
         for u, v in edges:
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
+                raise PreconditionError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
+                raise PreconditionError(f"edge ({u},{v}) outside 0..{n - 1}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         self.n = n
@@ -102,8 +123,7 @@ class Graph:
 
     def relabel(self, perm) -> "Graph":
         """New graph where old vertex v becomes perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("relabeling must be a permutation of 0..n-1")
+        _require_permutation(perm, self.n)
         rows = [0] * self.n
         for v, row in enumerate(self.rows):
             rows[perm[v]] = sum(1 << perm[u] for u in bits_of(row))
@@ -127,7 +147,19 @@ class Graph:
 
 # -- named families ----------------------------------------------------------
 
-_UNARY_KINDS = ("complete", "cocktail", "tailed-star", "cycle", "path")
+# the family kinds but union, each giving its member's vertex and edge
+# count from the parameter
+_UNARY_KINDS = {
+    "complete": lambda n: (n, n * (n - 1) // 2),
+    "cocktail": lambda n: (n, n * (n - 2) // 2),
+    "tailed-star": lambda n: (n + 2, n + 1),
+    "cycle": lambda n: (n, n),
+    "path": lambda n: (n, n - 1),
+}
+
+# generate builds an edge list and adjacency rows of up to n bits each, so
+# it refuses a graph whose edges plus 64-bit row words exceed this
+_FAMILY_CAP = 10**6
 
 
 def _components(text: str) -> list[tuple[str, int]]:
@@ -166,10 +198,19 @@ def _components(text: str) -> list[tuple[str, int]]:
 
 def generate(text: str) -> Graph:
     """Build the graph a family string names, such as ``complete:5`` or
-    ``union:complete:5+cycle:3``.  Every component of a union is checked
-    before any is built."""
+    ``union:complete:5+cycle:3``.  Every component of a union is checked,
+    and then the size of the whole against ``_FAMILY_CAP``, before any is
+    built."""
+    specs = _components(text)
+    sizes = [_UNARY_KINDS[kind](n) for kind, n in specs]
+    order, edges = map(sum, zip(*sizes))
+    if edges + order * order // 64 > _FAMILY_CAP:
+        raise ResourceLimitError(
+            f"family {text!r} has {edges} edges on {order} vertices; "
+            f"generate builds at most {_FAMILY_CAP} edges plus 64-bit words "
+            f"of adjacency rows", limit=_FAMILY_CAP)
     g = Graph(0)
-    for kind, n in _components(text):
+    for kind, n in specs:
         if kind == "complete":
             h = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
         elif kind == "cocktail":
@@ -194,12 +235,9 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Subgraph induced on the given vertex set, relabeled to 0..|S|-1 in
     ascending order of the original ids."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    keep = _as_mask(vertices, g.n, "vertex set")
+    vs = list(bits_of(keep))
     pos = {v: i for i, v in enumerate(vs)}
-    keep = sum(1 << v for v in vs)
     return Graph._from_rows(
         sum(1 << pos[w] for w in bits_of(g.rows[v] & keep)) for v in vs)
 
@@ -240,7 +278,7 @@ def emit_graph6(g: Graph) -> str:
         if n <= top:
             break
     else:
-        raise ValueError("graph too large for graph6")
+        raise PreconditionError("graph too large for graph6")
     # each row's adjacency to the lower positions, row n-1 highest:
     # reversed, this is the column_bits of positions 1..n-1 in turn
     low = 0

@@ -2,13 +2,26 @@
 
 Reports are plain dicts of JSON-safe values.  Exact rationals are rendered
 as ``"p/q"`` strings (integers stay integers), so ``Fraction`` parses every
-numeric field back losslessly.
+numeric field back losslessly, and ``_rational`` is the one reader of a
+rational argument.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import PreconditionError
+
 __all__ = ["rat", "render_human"]
+
+
+def _rational(value) -> Fraction:
+    """The exact rational ``value`` names: a number or a string such as
+    ``'7/2'``.  Anything else raises PreconditionError."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise PreconditionError(f"{value!r} is not an exact rational "
+                                f"(use p or p/q)") from None
 
 
 def rat(x) -> int | str:

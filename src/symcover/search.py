@@ -159,7 +159,10 @@ def _extend(parents, lo: int, hi: int,
     each vertex to come has a neighbour no later than the new column's
     first one, p.  The deficit of positions 0..p, less the new edge at p,
     must cover rest: the column may hold no position before the first whose
-    prefix deficit exceeds rest.
+    prefix deficit exceeds rest.  The regular enumeration passes lo = hi -
+    rest, so each position the column must hold (one more than rest below
+    hi) alone exceeds rest and lies at or after that first one: the cut
+    only trims the positions the column may leave out.
 
     With rest >= 1, two more cuts look at the next vertex: its column must
     be at least the new one doubled, and may hold only positions still below
@@ -193,8 +196,6 @@ def _extend(parents, lo: int, hi: int,
             least = max(lo, (need - rest * min(hi, m + 1) + 1) // 2)
             most = min(hi, (need - rest * (hi - rest + 1)) // 2)
             start = next((u for u in range(m) if prefix[u + 1] > rest), m)
-            if forced >> (m - start):
-                continue
             room &= (1 << (m - start)) - 1
         sub = room
         while forced | sub >= floor:

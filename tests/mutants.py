@@ -180,10 +180,8 @@ MUTANTS = (
             "test_reverification_reads_no_cache",)),
     Mutant("orbit-sum weight ignores the marked count",
            "symcover/checks.py",
-           "        weight.append((om & x_mask).bit_count() * denom "
-           "// om.bit_count())\n",
-           "        weight.append(bool(om & x_mask) * denom "
-           "// om.bit_count())\n",
+           "    weight = {v: inter * denom // om.bit_count()\n",
+           "    weight = {v: bool(inter) * denom // om.bit_count()\n",
            ("tests/test_checks.py::TestOrbitSumBound::"
             "test_sums_match_the_term_by_term_oracle",)),
     Mutant("graph6 padding bits not checked",
@@ -214,8 +212,8 @@ MUTANTS = (
             "test_rows_built_graphs_equal_their_edge_built_twins",)),
     Mutant("weight translation takes any sequence",
            "symcover/checks.py",
-           "        if sorted(perm) != list(range(self.graph.n)):\n",
-           "        if False:\n",
+           "        _require_permutation(perm, self.graph.n)\n",
+           "",
            ("tests/test_checks.py::TestWeightFunction::"
             "test_translate_refuses_a_non_permutation",)),
     Mutant("CLI loads the host first",
@@ -241,6 +239,37 @@ MUTANTS = (
            ("tests/test_covers.py::TestRepresentativity::"
             "test_stops_word_their_bounds",
             "tests/test_cli.py::TestRepr::test_recursion_limit_exits_2")),
+    Mutant("vertex reader accepts vertex n",
+           "symcover/graphs.py",
+           "        if not (0 <= v < n):\n",
+           "        if not (0 <= v <= n):\n",
+           ("tests/test_graphs.py::test_refusals_name_their_fault",
+            "tests/test_checks.py::TestWeightFunction::"
+            "test_vertex_out_of_range_rejected")),
+    # testing the orbit of the footprint's highest vertex instead is an
+    # equivalent mutant: a footprint inside an orbit has every vertex there
+    Mutant("held orbit needs only meet the footprint",
+           "symcover/checks.py",
+           "        if not fm & ~part.masks[oid]:\n",
+           "        if fm & part.masks[oid]:\n",
+           ("tests/test_checks.py::TestOrbitCopyTest",)),
+    Mutant("PreconditionError loses its ValueError base",
+           "symcover/errors.py",
+           "class PreconditionError(SymcoverError, ValueError):\n",
+           "class PreconditionError(SymcoverError):\n",
+           ("tests/test_graphs.py::test_refusals_name_their_fault",)),
+    Mutant("generate builds past the family cap",
+           "symcover/graphs.py",
+           "    if edges + order * order // 64 > _FAMILY_CAP:\n",
+           "    if False:\n",
+           ("tests/test_graphs.py::TestFamilies::"
+            "test_refuses_a_family_past_the_cap_before_building_it",)),
+    Mutant("family cap counts edges only",
+           "symcover/graphs.py",
+           "    if edges + order * order // 64 > _FAMILY_CAP:\n",
+           "    if edges > _FAMILY_CAP:\n",
+           ("tests/test_graphs.py::TestFamilies::"
+            "test_refuses_a_family_past_the_cap_before_building_it",)),
 )
 
 

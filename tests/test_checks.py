@@ -17,7 +17,7 @@ from conftest import (circulant, cube, hypercube, petersen, prism,
                       random_connected_graph, relabelled)
 from oracles import brute_automorphisms, brute_orbits
 from symcover.checks import (
-    _orbits_holding_a_footprint,
+    _orbit_table,
     build_pair_weight,
     check_extremal_boundary,
     check_orbit_density,
@@ -304,12 +304,12 @@ class TestOrbitCopyTest:
             host = _random_orbit_host(rng)
             part = orbits(host)
             for pattern in patterns:
-                held = _orbits_holding_a_footprint(
-                    part, footprints_of(pattern, host).masks)
+                table = _orbit_table(
+                    host, masks=footprints_of(pattern, host).masks)
                 for oid, orbit in enumerate(part.orbits):
                     want = contains_copy(pattern,
                                          induced_subgraph(host, orbit))
-                    assert (oid in held) == want, (host.edges(), pattern, oid)
+                    assert table[oid][3] == want, (host.edges(), pattern, oid)
                     if len(orbit) >= pattern.n:
                         seen[want] += 1
         assert min(seen.values()) >= 50, seen
@@ -463,6 +463,13 @@ class TestWeightFunction:
     def test_vertex_out_of_range_rejected(self, k5):
         with pytest.raises(ValueError):
             WeightFunction(k5, {5: 1})
+
+    @pytest.mark.parametrize("weight", ["x", "1/0", None, float("nan")])
+    def test_unreadable_weight_rejected(self, k5, weight):
+        with pytest.raises(PreconditionError) as info:
+            WeightFunction(k5, {0: weight})
+        assert str(info.value) == (f"{weight!r} is not an exact rational "
+                                   f"(use p or p/q)")
 
     def test_translate_moves_support(self):
         cycle = generate("cycle:4")

@@ -96,6 +96,32 @@ BAD_FAMILY_SPECS = {
     "union:path:3+": "empty family spec",
 }
 
+# refusals at the input edge, one a line: the call, the error it raises and
+# a fragment of the message; every refusal of a bad argument is a ValueError
+INPUT_REFUSALS = [
+    (lambda: parse_edge_list("n"), GraphParseError,
+     "line 1: header must be 'n <count>'"),
+    (lambda: parse_edge_list("n x"), GraphParseError,
+     "line 1: vertex count 'x' is not an integer"),
+    (lambda: parse_edge_list("n -2"), GraphParseError,
+     "line 1: negative vertex count"),
+    (lambda: parse_edge_list("0 1 2"), GraphParseError,
+     "line 1: expected 'u v', got '0 1 2'"),
+    (lambda: parse_edge_list("0 a"), GraphParseError,
+     "line 1: vertex ids must be integers"),
+    (lambda: parse_edge_list("0 -1"), GraphParseError,
+     "line 1: negative vertex id"),
+    (lambda: parse_edge_list("2 2"), GraphParseError,
+     "line 1: loop at vertex 2"),
+    (lambda: parse_edge_list("n 2\n0 2"), GraphParseError,
+     "vertex id 2 exceeds declared count 2"),
+    (lambda: Graph(-1), ValueError, "vertex count must be >= 0"),
+    (lambda: Graph(3, [(1, 1)]), ValueError, "loop at vertex 1"),
+    (lambda: Graph(3).relabel((0, 0, 1)), ValueError,
+     "relabeling must be a permutation of 0..n-1"),
+    (lambda: induced_subgraph(Graph(4), (1, 4)), ValueError, "outside 0..3"),
+]
+
 
 class TestGraph:
     def test_edges_are_normalized_and_deduplicated(self):
@@ -192,6 +218,23 @@ class TestFamilies:
             generate("union:complete:100000+wheel:5")
         assert time.perf_counter() - start < 0.5
 
+    def test_refuses_a_family_past_the_cap_before_building_it(self):
+        # edges plus 64-bit words of adjacency rows: path:8000 has few
+        # edges but 8000-bit rows; the cheap specs come first, so a broken
+        # cap fails the test before it builds the dear one
+        assert generate("path:7900").n == 7900
+        for spec in ("path:8000", "complete:1395",
+                     "union:complete:1000+complete:1000"):
+            with pytest.raises(ResourceLimitError, match="generate builds "
+                               "at most 1000000 edges plus 64-bit words"):
+                generate(spec)
+        with pytest.raises(ResourceLimitError) as info:
+            generate("complete:100000")
+        assert str(info.value) == (
+            "family 'complete:100000' has 4999950000 edges on 100000 "
+            "vertices; generate builds at most 1000000 edges plus 64-bit "
+            "words of adjacency rows")
+
 
 class TestGraph6:
     def test_known_strings(self):
@@ -250,6 +293,13 @@ class TestGraph6:
                 least = min(emit_graph6(g.relabel(p))
                             for p in permutations(range(n)))
                 assert canonical_form(g) == least
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_REFUSALS)
+def test_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert message in str(info.value)
 
 
 class TestEdgeListParsing:

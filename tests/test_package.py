@@ -27,6 +27,26 @@ def test_no_bare_assert():
     assert found == []
 
 
+def test_every_raise_names_a_library_error():
+    # a caller that catches SymcoverError catches every refusal; only the
+    # command line's own exit raises anything else
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            while isinstance(exc, ast.Attribute):  # Error.too_deep(...)
+                exc = exc.value
+            name = exc.id if isinstance(exc, ast.Name) else None
+            if name not in symcover.errors.__all__ and not (
+                    name == "SystemExit"
+                    and path.name in ("cli.py", "__main__.py")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_only_the_printed_form_reads_edges_back():
     # a Graph is its rows: graphs derived from other graphs are built from
     # rows, so only repr turns the rows back into an edge list
