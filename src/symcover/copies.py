@@ -111,7 +111,7 @@ def _twin_order(g: Graph, order: list[int]) -> list[int]:
     return above
 
 
-def _embed(hrows, back, elig, leaf, above=None) -> bool:
+def _embed(hrows, back, elig, leaf, above) -> bool:
     """Backtracking embedding search.  Position idx takes an unused host
     vertex of ``elig[idx]`` adjacent to the images of the positions in
     ``back[idx]`` and, when ``above`` names an earlier position
@@ -121,36 +121,45 @@ def _embed(hrows, back, elig, leaf, above=None) -> bool:
 
     ``above`` from ``_twin_order`` keeps, of the embeddings that differ by
     swaps of the pattern's twins, the one whose images increase along each
-    twin class: one embedding per copy up to twin swaps."""
+    twin class: one embedding per copy up to twin swaps.
+
+    A loop over at least one position: a placed position idx keeps its
+    candidates not yet tried in ``untried[idx]`` and the image mask from
+    before it in ``unused[idx]``, which a back-up to it restores."""
     k = len(elig)
     images = [0] * k
-    if above is None:
-        above = [-1] * k
-
-    def place(idx: int, used: int) -> bool:
-        if idx == k:
-            return leaf(used, images)
+    untried = [0] * k
+    unused = [0] * k
+    idx = used = 0
+    last = k - 1
+    while True:
         cand = elig[idx] & ~used
         for j in back[idx]:
             cand &= hrows[images[j]]
             if not cand:
-                return False
+                break
         j = above[idx]
         if j >= 0:
             cand &= -(2 << images[j])
-        while cand:
-            low = cand & -cand
-            images[idx] = low.bit_length() - 1
-            if place(idx + 1, used | low):
-                return True
-            cand ^= low
-        return False
-
-    try:
-        return place(0, 0)
-    except RecursionError:
-        raise ResourceLimitError.too_deep(
-            f"embedding search of {k} positions") from None
+        while True:
+            if cand:
+                low = cand & -cand
+                cand ^= low
+                images[idx] = low.bit_length() - 1
+                if idx < last:
+                    untried[idx] = cand
+                    unused[idx] = used
+                    used |= low
+                    idx += 1
+                    break
+                if leaf(used | low, images):
+                    return True
+            elif idx:
+                idx -= 1
+                used = unused[idx]
+                cand = untried[idx]
+            else:
+                return False
 
 
 def _run_matcher(pattern: Graph, host: Graph, *, first_only: bool,
@@ -159,6 +168,9 @@ def _run_matcher(pattern: Graph, host: Graph, *, first_only: bool,
     set as soon as one embedding exists when ``first_only`` is set."""
     if pattern.n == 0:
         raise PreconditionError("pattern must have at least one vertex")
+    if cap < 0:
+        raise PreconditionError(
+            f"footprint cap must be nonnegative, got {cap}")
     results: set[int] = set()
     if pattern.n > host.n:
         return results

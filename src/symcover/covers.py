@@ -102,7 +102,7 @@ class _CoverSearch:
     cover cheaper than the incumbent nor the first completion under a
     limit.  Of two units with the same live sets and cost, the lower one
     goes first and the other is skipped.  A set with one available unit
-    recurses on it directly.
+    gives its node one child, with nothing to order.
 
     Every node first asks the pack bound (``_pack_bound``) whether a cover
     cheaper than the incumbent can lie below it.  The bound packs live
@@ -133,6 +133,9 @@ class _CoverSearch:
     """
 
     def __init__(self, sets, costs: dict[int, int], budget: int):
+        if budget < 0:
+            raise PreconditionError(
+                f"node budget must be nonnegative, got {budget}")
         self.sets = sets
         self.costs = costs
         self.budget = budget
@@ -253,34 +256,41 @@ class _CoverSearch:
     def _branch(self, live, banned, incumbent, first):
         """Unit mask of the cheapest cover below ``incumbent`` of the live
         sets by units not banned, or None when there is none.  With
-        ``first`` set, return the first such cover found."""
+        ``first`` set, return the first such cover found.
+
+        A depth-first loop over a stack of nodes ``(live, banned, cost,
+        chosen)``.  A node's children and their bans depend only on the
+        order of its units, not on what the children find, so it pushes
+        them all at once, in reverse, and the first is searched first."""
         sets, inc, costs, rate = self.sets, self.inc, self.costs, self.rate
         pack_bound, budget = self._pack_bound, self.budget
         best_cost, best = incumbent, None
         nodes = self.nodes
-
-        def dfs(live, banned, cost, chosen):
-            nonlocal best_cost, best, nodes
+        stack = [(live, banned, 0, 0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            live, banned, cost, chosen = pop()
             nodes += 1
             if nodes > budget:
                 self._charge(nodes)
             if not live:
-                if cost >= best_cost:
-                    return False
-                best_cost, best = cost, chosen
-                if not first:
+                if cost < best_cost:
+                    best_cost, best = cost, chosen
+                    if first:
+                        break
                     self.upper = cost
-                return first
+                continue
             stop = best_cost - cost
             if pack_bound(live, banned, stop) >= stop:
-                return False
+                continue
             # the pack bound has priced the lowest live set, so it has an
             # available unit
             avail = sets[(live & -live).bit_length() - 1] & ~banned
             if not avail & avail - 1:  # one available unit, nothing to order
                 u = avail.bit_length() - 1
-                return dfs(live & ~inc[u], banned, cost + costs[u],
-                           chosen | avail)
+                push((live & ~inc[u], banned, cost + costs[u],
+                      chosen | avail))
+                continue
             keyed = []  # strongest first, ties to the lowest unit
             while avail:
                 low = avail & -avail
@@ -291,25 +301,18 @@ class _CoverSearch:
             keyed.sort()
             tried = 0
             done = []  # (live sets hit, cost) of the units branched on
+            children = []
             for _, u, hit in keyed:
                 c = costs[u]
                 for h, k in done:
                     if h & hit == hit and k <= c:
                         break  # an earlier unit replaces u
                 else:
-                    if dfs(live & ~hit, banned | tried, cost + c,
-                           chosen | 1 << u):
-                        return True
+                    children.append((live & ~hit, banned | tried, cost + c,
+                                     chosen | 1 << u))
                     done.append((hit, c))
                 tried |= 1 << u
-            return False
-
-        try:
-            dfs(live, banned, 0, 0)
-        except RecursionError:
-            raise ResourceLimitError.too_deep(
-                "cover search", best_lower=self.lower,
-                best_upper=self.upper) from None
+            stack += reversed(children)
         self._charge(nodes)
         return best
 

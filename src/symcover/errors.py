@@ -1,8 +1,6 @@
 """Exception types shared across the library."""
 from __future__ import annotations
 
-import sys
-
 __all__ = [
     "SymcoverError",
     "GraphParseError",
@@ -58,8 +56,8 @@ class WeightConstructionError(SymcoverError):
 
 
 class ResourceLimitError(SymcoverError):
-    """An explicit budget (node count, enumeration cap, orbit images built)
-    or the interpreter's recursion limit was hit.
+    """An explicit budget ran out: a search's node count, or a cap on the
+    footprints, vertices, family size or orbit size a call may build.
 
     Carries whatever partial knowledge the computation had, so callers can
     report honest bounds instead of a silently truncated answer.  When both
@@ -74,14 +72,6 @@ class ResourceLimitError(SymcoverError):
         self.limit = limit
         self.best_lower = best_lower
         self.best_upper = best_upper
-
-    @classmethod
-    def too_deep(cls, search: str, **known) -> "ResourceLimitError":
-        """The stop of a recursive ``search`` that ran out of interpreter
-        frames; ``known`` holds the bounds it had reached."""
-        limit = sys.getrecursionlimit()
-        return cls(f"{search} went deeper than the recursion limit {limit}",
-                   limit=limit, **known)
 
 
 class VerificationError(SymcoverError):

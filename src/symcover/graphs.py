@@ -465,11 +465,53 @@ def lex_min_order(n: int, rows,
     """
     best = [column_bits(rows[j], j) for j in range(n)]
     best_order = tuple(range(n))
-    placed: list[int] = []
-    nodes = 0
-
-    def dfs(cells: list[tuple[int, int]]) -> bool:
-        nonlocal best_order, nodes
+    # the node searched: its cells, its first cell's vertices not yet
+    # tried, and those tried; the stack holds the same of its ancestors,
+    # so the placed prefix is the last vertex each of them tried
+    cells, left, tried = [(0, (1 << n) - 1)], (1 << n) - 1, []
+    stack = []
+    nodes = 1
+    while True:
+        while not left:
+            if not stack:
+                return best_order
+            cells, left, tried = stack.pop()
+        bit = left & -left
+        left ^= bit
+        u = bit.bit_length() - 1
+        row = rows[u]
+        # twins, alike apart from each other, lead to equal subtrees
+        if tried and any(row & ~(1 << t) == rows[t] & ~bit for t in tried):
+            continue
+        tried.append(u)
+        j = len(stack) + 1
+        c, first = cells[0]
+        rest = first ^ bit
+        if rest:
+            value, mask = c, rest
+        elif len(cells) > 1:
+            value, mask = cells[1]
+        else:
+            if best_order is None:
+                best_order = (*(frame[2][-1] for frame in stack), u)
+            continue
+        # the least column after u; its low bit is set only when every
+        # vertex of the cell it comes from is a neighbour of u
+        low = value << 1 | (not mask & ~row)
+        if low > best[j]:
+            continue
+        if low < best[j]:
+            if first_only:
+                return None
+            best[j:] = [low] + [1 << n] * (n - j - 1)
+            best_order = None
+        child = []
+        for value, cell in [(c, rest), *cells[1:]] if rest else cells[1:]:
+            near = cell & row
+            if cell ^ near:
+                child.append((value << 1, cell ^ near))
+            if near:
+                child.append((value << 1 | 1, near))
         nodes += 1
         if nodes > LEX_MIN_BUDGET:
             prefix = sum(c < 1 << n for c in best)
@@ -477,58 +519,8 @@ def lex_min_order(n: int, rows,
                 f"lex-min search exceeded its budget of {LEX_MIN_BUDGET} "
                 f"nodes; the incumbent prefix holds {prefix} of {n} columns",
                 limit=LEX_MIN_BUDGET)
-        j = len(placed) + 1
-        c, first = cells[0]
-        tried: list[int] = []
-        left = first
-        while left:
-            bit = left & -left
-            left ^= bit
-            u = bit.bit_length() - 1
-            row = rows[u]
-            # twins, alike apart from each other, lead to equal subtrees
-            if tried and any(row & ~(1 << t) == rows[t] & ~bit
-                             for t in tried):
-                continue
-            tried.append(u)
-            rest = first ^ bit
-            if rest:
-                value, mask = c, rest
-            elif len(cells) > 1:
-                value, mask = cells[1]
-            else:
-                if best_order is None:
-                    best_order = (*placed, u)
-                continue
-            # the least column after u; its low bit is set only when every
-            # vertex of the cell it comes from is a neighbour of u
-            low = value << 1 | (not mask & ~row)
-            if low > best[j]:
-                continue
-            if low < best[j]:
-                if first_only:
-                    return True
-                best[j:] = [low] + [1 << n] * (n - j - 1)
-                best_order = None
-            child = []
-            for value, cell in [(c, rest), *cells[1:]] if rest else cells[1:]:
-                near = cell & row
-                if cell ^ near:
-                    child.append((value << 1, cell ^ near))
-                if near:
-                    child.append((value << 1 | 1, near))
-            placed.append(u)
-            stop = dfs(child)
-            placed.pop()
-            if stop:
-                return True
-        return False
-
-    try:
-        return None if n and dfs([(0, (1 << n) - 1)]) else best_order
-    except RecursionError:
-        raise ResourceLimitError.too_deep(
-            f"lex-min search on {n} vertices") from None
+        stack.append((cells, left, tried))
+        cells, left, tried = child, child[0][1], []
 
 
 def canonical_graph(g: Graph) -> Graph:

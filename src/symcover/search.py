@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
+from operator import index
 
 from .checks import neighborhood_profile
 from .copies import (FOOTPRINT_CAP, enumerate_footprints, footprints_of,
@@ -111,17 +112,22 @@ def _require_cap(n: int, cap: int, kind: str) -> None:
             f"{kind} enumeration capped at {cap} vertices", limit=cap)
 
 
+def _count(value, what: str) -> int:
+    """``value`` as a nonnegative int, or PreconditionError."""
+    if not hasattr(type(value), "__index__") or index(value) < 0:
+        raise PreconditionError(
+            f"{what} must be a nonnegative integer, got {value!r}")
+    return index(value)
+
+
 def enum_graphs(n: int, connected_only: bool = False,
                 regular_k: int | None = None) -> tuple[Graph, ...]:
     """Canonical representatives of the graphs on n vertices, optionally
     restricted to connected or k-regular ones, in graph6 order."""
-    if n < 0:
-        raise PreconditionError("vertex count must be nonnegative")
+    n = _count(n, "vertex count")
     if regular_k is not None:
         _require_cap(n, REGULAR_CAP, "regular")
-        if regular_k < 0:
-            raise PreconditionError("regular degree must be nonnegative")
-        pool = _regular_graphs(n, regular_k)
+        pool = _regular_graphs(n, _count(regular_k, "regular degree"))
     else:
         _require_cap(n, UNCONSTRAINED_CAP, "unconstrained")
         pool = _all_graphs(n)

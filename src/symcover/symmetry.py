@@ -148,7 +148,7 @@ def _chain(g: Graph, colors) -> tuple[int, tuple[tuple[int, ...], ...]]:
                 continue
             pinned = elig.copy()
             pinned[t] = 1 << c
-            if _embed(rows, back, pinned, leaf):
+            if _embed(rows, back, pinned, leaf, [-1] * n):
                 searched.append(found.pop())
                 reached = _close(reached, searched)
         generators += searched

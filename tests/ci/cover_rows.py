@@ -1,4 +1,4 @@
-"""Five cover rows: value, lex-min witness and nodes of each search phase,
+"""Six cover rows: value, lex-min witness and nodes of each search phase,
 pinned.  Prints one JSON line per row, with the seconds of each phase."""
 import json
 import sys
@@ -16,16 +16,17 @@ from symcover.graphs import bits_of, generate
 
 # (row, pattern, host, value, optimum-phase nodes, witness-pass nodes,
 # lex-min witness): values and witnesses as solved at bbcca98 and every
-# commit since (the last two rows as solved at b59ff7e).  The search is
+# commit since (C(48;1,5) and C(40;1,7) as solved at b59ff7e).  The search is
 # built as min_hitting_set builds it, and each phase is pinned apart.  Node
 # counts of the lowest-live-set pick, its units strongest first and those
 # an earlier unit replaces skipped, with the pack bound on available
 # units, from the greedy cover less its redundant units.  The first three
 # rows took 32032 + 15743 / 11170 + 24806 / 10348 + 5763 with the units in
-# ascending order (the last two 42113 + 28209 / 24509 + 10170); in total
+# ascending order (those two 42113 + 28209 / 24509 + 10170); in total
 # 58739 / 80688 / 26242 from the greedy cost alone, 85757 / 291788 / 88610
 # when the bound packed whole sets, 51376 / 70634 / 38796 under the
-# fewest-available pick
+# fewest-available pick.  The path row chooses 1250 units, one search level
+# each, past Python's default recursion limit: the search is a loop
 for row, pattern, host, value, found, witnessed, witness in (
         ("C(32;1,4)", "path:4", circulant(32, (1, 4)), 15, 6659, 5970,
          (0, 1, 3, 5, 7, 10, 12, 13, 17, 18, 20, 23, 25, 27, 30)),
@@ -39,7 +40,9 @@ for row, pattern, host, value, found, witnessed, witness in (
          (0, 2, 4, 6, 8, 15, 17, 19, 26, 28, 30, 37, 39, 41)),
         ("C(40;1,7)", "path:3", circulant(40, (1, 7)), 20, 4617, 3816,
          (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32,
-          34, 36, 38))):
+          34, 36, 38)),
+        ("path:2500", "path:2", generate("path:2500"), 1250, 1, 2499,
+         tuple(range(0, 2500, 2)))):
     masks = footprints_of(generate(pattern), host).masks
     costs = dict.fromkeys(bits_of(reduce(or_, masks, 0)), 1)
     search = _CoverSearch(masks, costs, NODE_BUDGET)

@@ -107,8 +107,8 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
 @contextmanager
 def frames_left(count: int):
     """Lower the recursion limit to ``count`` frames above the caller's
-    depth, so a search that recurses deeper stops within milliseconds,
-    and restore the limit after."""
+    depth, and restore it after: a search more than ``count`` levels deep
+    that took a frame per level would fail within milliseconds."""
     # frame 0 runs this body and frame 1 the context manager's __enter__
     depth, frame = 0, sys._getframe(2)
     while frame is not None:

@@ -160,6 +160,39 @@ MUTANTS = (
            "                keyed.append((-hit.bit_count() * rate[u], u, hit))\n",
            "                keyed.append((0, u, hit))\n",
            ("tests/test_covers.py::test_search_tree_is_pinned",)),
+    Mutant("cover search pushes children in forward order",
+           "symcover/covers.py",
+           "            stack += reversed(children)\n",
+           "            stack += children\n",
+           ("tests/test_covers.py::test_search_tree_is_pinned",)),
+    Mutant("matcher keeps a retracted image used",
+           "symcover/copies.py",
+           "                used = unused[idx]\n",
+           "                pass\n",
+           ("tests/test_copies.py::TestEnumeration",)),
+    Mutant("lex-min descent drops the untried siblings",
+           "symcover/graphs.py",
+           "        stack.append((cells, left, tried))\n",
+           "        stack.append((cells, 0, tried))\n",
+           ("tests/test_graphs.py::TestCanonical",)),
+    Mutant("a negative node budget runs the search",
+           "symcover/covers.py",
+           "        if budget < 0:\n",
+           "        if False:\n",
+           ("tests/test_covers.py::TestRepresentativity::"
+            "test_negative_budget_is_a_bad_argument",)),
+    Mutant("a negative footprint cap runs the matcher",
+           "symcover/copies.py",
+           "    if cap < 0:\n",
+           "    if False:\n",
+           ("tests/test_copies.py::TestLimitsAndErrors::"
+            "test_negative_cap_is_a_bad_argument",)),
+    Mutant("enumeration reads a non-integer order",
+           "symcover/search.py",
+           '    if not hasattr(type(value), "__index__") '
+           "or index(value) < 0:\n",
+           "    if index(value) < 0:\n",
+           ("tests/test_search.py::TestEnumeration::test_caps",)),
     Mutant("classification drops the wide extremal hits",
            "symcover/search.py",
            '        return self._marked("extremal")\n',
@@ -238,7 +271,7 @@ MUTANTS = (
            "            pass\n",
            ("tests/test_covers.py::TestRepresentativity::"
             "test_stops_word_their_bounds",
-            "tests/test_cli.py::TestRepr::test_recursion_limit_exits_2")),
+            "tests/test_cli.py::TestRepr::test_node_budget_flag")),
     Mutant("vertex reader accepts vertex n",
            "symcover/graphs.py",
            "        if not (0 <= v < n):\n",

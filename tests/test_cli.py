@@ -146,15 +146,31 @@ class TestRepr:
                                         err).groups())
             assert lo <= value <= hi, argv
 
-    def test_recursion_limit_exits_2(self, capsys):
-        # exit 1 would claim that a checked property fails
+    def test_answers_past_the_recursion_limit(self, capsys):
+        # the searches are loops: 32 chosen units and 64 matcher positions
+        # need no stack frames
+        with frames_left(50):
+            code, doc = run_json(capsys, "repr", "--pattern", "path:2",
+                                 "--host", "path:64")
+        assert code == 0
+        assert doc["vertex_representativity"] == 32
+        assert doc["witness"] == list(range(0, 64, 2))
+        # path:300 gets past the cover search to the orbits' vertex cap
         with frames_left(100):
             code, out, err = run(capsys, "repr", "--pattern", "path:2",
                                  "--host", "path:300")
         assert code == 2
-        assert re.fullmatch(r"error: cover search went deeper than the "
-                            r"recursion limit \d+; optimum in \[150, 150\]\n",
-                            err)
+        assert err == ("error: automorphism engine supports at most 64 "
+                       "vertices, got 300\n")
+
+    def test_negative_bounds_are_usage_errors(self, capsys):
+        # a budget stop would word bounds for a search that never ran
+        for flag, what in (("--node-budget", "node budget"),
+                           ("--footprint-cap", "footprint cap")):
+            code, out, err = run(capsys, "repr", "--pattern", "path:3",
+                                 "--host", "cycle:6", flag, "-1")
+            assert code == 2
+            assert err == f"error: {what} must be nonnegative, got -1\n"
 
     def test_orbits_ignore_the_order_cap(self, capsys):
         # |Aut(K13)| = 13!; orbits need only generators

@@ -163,7 +163,7 @@ def _count_embeddings(pattern: Graph, host: Graph, twins: bool) -> int:
         return False
 
     _embed(host.rows, _back_edges(pattern, order), elig, leaf,
-           _twin_order(pattern, order) if twins else None)
+           _twin_order(pattern, order) if twins else [-1] * len(order))
     return count
 
 
@@ -207,13 +207,21 @@ class TestLimitsAndErrors:
         with pytest.raises(ResourceLimitError):
             footprints_of(pattern, host, cap=10)
 
-    def test_recursion_limit_is_a_resource_limit(self):
-        # the matcher recurses once per pattern vertex
-        with frames_left(100), pytest.raises(
-                ResourceLimitError, match="embedding search of 200 positions "
-                "went deeper than the recursion limit") as stop:
-            enumerate_footprints(generate("path:200"), generate("path:220"))
-        assert stop.value.limit < 200
+    def test_answers_past_the_recursion_limit(self):
+        # the matcher is a loop: 200 positions need no stack frames
+        with frames_left(100):
+            family = enumerate_footprints(generate("path:200"),
+                                          generate("path:220"))
+        assert family.masks == tuple(((1 << 200) - 1) << i
+                                     for i in range(21))
+
+    def test_negative_cap_is_a_bad_argument(self):
+        # a cap of 0 is a cap; -1 is no count a family can stay within
+        with pytest.raises(PreconditionError,
+                           match="footprint cap must be nonnegative"):
+            footprints_of(generate("path:3"), generate("cycle:6"), cap=-1)
+        with pytest.raises(ResourceLimitError, match="exceeds the cap 0"):
+            footprints_of(generate("path:3"), generate("cycle:6"), cap=0)
 
     def test_family_validates_footprint_sizes(self):
         with pytest.raises(ValueError, match="other than 3 bits"):

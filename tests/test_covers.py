@@ -484,15 +484,24 @@ class TestRepresentativity:
             solve(budget - 1)
         assert stop.value.best_lower == stop.value.best_upper == sol.value
 
-    def test_recursion_limit_is_a_resource_limit(self):
-        # the search recurses once per chosen unit, and path:300 needs 150
-        with frames_left(100), pytest.raises(
-                ResourceLimitError,
-                match="cover search went deeper than the recursion limit"
-        ) as stop:
-            vertex_representativity(generate("path:2"), generate("path:300"))
-        assert stop.value.limit < 300
-        assert stop.value.best_lower == stop.value.best_upper == 150
+    def test_answers_past_the_recursion_limit(self):
+        # the search is a loop: 150 chosen units need no stack frames
+        with frames_left(100):
+            sol = vertex_representativity(generate("path:2"),
+                                          generate("path:300"))
+        assert sol.value == 150
+        assert sol.witness == tuple(range(0, 300, 2))
+
+    def test_negative_budget_is_a_bad_argument(self):
+        # a budget of 0 stops at the root; -1 would word bounds for a
+        # search that never ran
+        pattern, host = generate("path:3"), generate("cycle:6")
+        with pytest.raises(PreconditionError,
+                           match="node budget must be nonnegative, got -1"):
+            vertex_representativity(pattern, host, node_budget=-1)
+        with pytest.raises(ResourceLimitError,
+                           match="exceeded the node budget 0"):
+            vertex_representativity(pattern, host, node_budget=0)
 
     def test_stops_word_their_bounds(self):
         # a library caller reads the bounds in the message the CLI prints
@@ -502,11 +511,14 @@ class TestRepresentativity:
         lower, upper = stop.value.best_lower, stop.value.best_upper
         assert str(stop.value) == ("cover search exceeded the node budget "
                                    f"5; optimum in [{lower}, {upper}]")
-        with frames_left(100), pytest.raises(ResourceLimitError) as stop:
-            vertex_representativity(generate("path:2"), generate("path:300"))
-        assert str(stop.value) == (
-            "cover search went deeper than the recursion limit "
-            f"{stop.value.limit}; optimum in [150, 150]")
+        # a stop in the witness pass words the optimum it proved
+        pattern, host = generate("path:2"), generate("path:300")
+        with frames_left(100):
+            budget = vertex_representativity(pattern, host).nodes_explored - 1
+            with pytest.raises(ResourceLimitError) as stop:
+                vertex_representativity(pattern, host, node_budget=budget)
+        assert str(stop.value) == ("cover search exceeded the node budget "
+                                   f"{budget}; optimum in [150, 150]")
         # one bound alone is not worded
         assert str(ResourceLimitError("stop", best_upper=4)) == "stop"
 

@@ -457,11 +457,10 @@ class TestCanonical:
             canonical_form(circulant(64, (1, 7)))
         assert "incumbent prefix" in str(stop.value)
 
-    def test_recursion_limit_is_a_resource_limit(self):
-        # the lex-min search recurses once per placed vertex
-        with frames_left(100), pytest.raises(
-                ResourceLimitError, match="lex-min search on 200 vertices "
-                "went deeper than the recursion limit") as stop:
-            canonical_form(generate("path:200"))
-        assert stop.value.limit < 200
+    def test_answers_past_the_recursion_limit(self):
+        # the lex-min search is a loop: 200 placed vertices need no stack
+        # frames.  Every labelling of K200 is the same graph
+        with frames_left(100):
+            form = canonical_form(generate("complete:200"))
+        assert form == emit_graph6(generate("complete:200"))
 

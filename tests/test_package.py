@@ -27,6 +27,30 @@ def test_no_bare_assert():
     assert found == []
 
 
+def test_only_bounded_functions_call_themselves():
+    # every search is a loop, so no answer depends on the interpreter's
+    # stack.  These recurse to depths their inputs bound: one level of
+    # union:, n <= UNCONSTRAINED_CAP, one step to the complement degree,
+    # and the nesting of a document
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                func = node.func if isinstance(node, ast.Call) else None
+                if (isinstance(func, ast.Name) and func.id == fn.name
+                        or isinstance(func, ast.Attribute)
+                        and func.attr == fn.name
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id == "self"):
+                    found.append(f"{path.stem}.{fn.name}")
+                    break
+    assert sorted(found) == ["graphs._components", "report.render_human",
+                             "search._all_graphs", "search._regular_graphs"]
+
+
 def test_every_raise_names_a_library_error():
     # a caller that catches SymcoverError catches every refusal; only the
     # command line's own exit raises anything else
@@ -37,8 +61,6 @@ def test_every_raise_names_a_library_error():
             if not isinstance(node, ast.Raise):
                 continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            while isinstance(exc, ast.Attribute):  # Error.too_deep(...)
-                exc = exc.value
             name = exc.id if isinstance(exc, ast.Name) else None
             if name not in symcover.errors.__all__ and not (
                     name == "SystemExit"
@@ -67,17 +89,6 @@ def test_only_the_printed_form_reads_edges_back():
     for path in sorted(SOURCE.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
     assert callers == ["graphs.Graph.__repr__"]
-
-
-def test_only_errors_words_the_recursion_stop():
-    # ResourceLimitError.too_deep reads the limit and words the stop of
-    # every recursive search
-    found = [f"{path.name}: {text}" for path in sorted(SOURCE.glob("*.py"))
-             for text in ("getrecursionlimit",
-                          "went deeper than the recursion limit")
-             if text in path.read_text()]
-    assert found == ["errors.py: getrecursionlimit",
-                     "errors.py: went deeper than the recursion limit"]
 
 
 def test_every_exported_name_resolves():

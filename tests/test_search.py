@@ -119,6 +119,15 @@ class TestEnumeration:
             enum_graphs(11, regular_k=3)
         with pytest.raises(PreconditionError):
             enum_graphs(-1)
+        # refused before any search: an order of 2.5 would recurse past
+        # the empty graph
+        for n, k, what in ((2.5, None, "vertex count"),
+                           (4, 1.5, "regular degree"),
+                           ("3", None, "vertex count")):
+            with pytest.raises(PreconditionError,
+                               match=f"{what} must be a nonnegative "
+                                     "integer, got"):
+                enum_graphs(n, regular_k=k)
 
 
 class TestDenseScan:

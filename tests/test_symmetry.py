@@ -102,10 +102,10 @@ class TestElements:
         level0 = []
         embed = symcover.symmetry._embed
 
-        def counting(hrows, back, elig, leaf):
+        def counting(hrows, back, elig, leaf, above):
             if elig[0] != base:
                 level0.append(elig[0])
-            return embed(hrows, back, elig, leaf)
+            return embed(hrows, back, elig, leaf, above)
 
         monkeypatch.setattr(symcover.symmetry, "_embed", counting)
         group = symcover.symmetry._automorphism_group.__wrapped__(g)
