@@ -129,17 +129,17 @@ def verify_orbit_sum_bound(pattern: Graph, host: Graph, marked,
     rows = []
     for m in family.masks:
         fp = tuple(bits_of(m))
-        rows.append((fp, Fraction(sum(map(weight.__getitem__, fp)), denom)))
+        rows.append((fp, sum(map(weight.__getitem__, fp))))
     rows.sort()  # the footprints are distinct, so no sums are compared
-    minimum = min((v for _, v in rows), default=None)
-    tight = tuple(fp for fp, v in rows if v == 1)
-    holds = minimum is None or minimum >= 1
+    # one Fraction per distinct numerator; the rest compares integers
+    sums = {num: Fraction(num, denom) for _, num in rows}
+    least = min(sums, default=None)
     return OrbitSumReport(
         marked=tuple(sorted(set(marked))),
-        per_footprint=tuple(rows),
-        minimum=minimum,
-        tight_footprints=tight,
-        holds=holds,
+        per_footprint=tuple((fp, sums[num]) for fp, num in rows),
+        minimum=None if least is None else sums[least],
+        tight_footprints=tuple(fp for fp, num in rows if num == denom),
+        holds=least is None or least >= denom,
     )
 
 

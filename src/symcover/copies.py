@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import PreconditionError, ResourceLimitError
-from .graphs import Graph, bits_of
+from .graphs import Graph, _count, bits_of
 
 __all__ = ["CopyFamily", "enumerate_footprints", "footprints_of",
            "contains_copy", "FOOTPRINT_CAP"]
@@ -168,9 +168,7 @@ def _run_matcher(pattern: Graph, host: Graph, *, first_only: bool,
     set as soon as one embedding exists when ``first_only`` is set."""
     if pattern.n == 0:
         raise PreconditionError("pattern must have at least one vertex")
-    if cap < 0:
-        raise PreconditionError(
-            f"footprint cap must be nonnegative, got {cap}")
+    cap = _count(cap, "footprint cap")
     results: set[int] = set()
     if pattern.n > host.n:
         return results

@@ -13,16 +13,18 @@ replaces at no greater cost.  The witness comes from a scan over units in
 ascending order that searches only outside the optimal cover it holds, so
 the branch order shapes the tree but moves no witness.
 
-``extremality_report`` solves the invariant cover only when some
-footprint vertex shares its orbit with another vertex.  When every
-footprint vertex is alone in its orbit, each such orbit costs 1, and
-since orbits are numbered by their smallest member, renaming each vertex
-to its orbit id keeps the order of the vertices.  The orbit cover is then
-the identical search over the same sets under that renaming, so the
-report takes the plain solution as the invariant one, with the witness's
-orbit ids.  A trivial group is the case where every orbit is a single
-vertex.  The report asks for the orbits only once the family holds a
-footprint.
+``extremality_report`` solves the invariant cover only when the plain
+witness is not a union of orbits.  Every union of orbits meeting all the
+footprints is a plain cover too, so the invariant optimum is at least the
+plain one, and a plain witness that is a union of orbits reaches it.
+Orbits are numbered by their smallest member, so two unions of orbits of
+equal cost compare alike as vertex sets and as orbit-id sets: the lex-min
+plain witness is then the lex-min orbit cover as well.  The report takes
+it with the witness's distinct orbit ids, and its ``nodes_explored``
+counts the plain search, which certified it, while
+``symmetric_vertex_representativity`` always searches.  A trivial group,
+where every orbit is a single vertex, is one such case.  The report asks
+for the orbits only once the family holds a footprint.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from operator import or_
 from .copies import CopyFamily, footprints_of, FOOTPRINT_CAP
 from .errors import (PreconditionError, ResourceLimitError,
                      VerificationError)
-from .graphs import Graph, bits_of
+from .graphs import Graph, _count, bits_of
 from .report import rat
 from .symmetry import AutomorphismGroup, orbits
 
@@ -133,12 +135,9 @@ class _CoverSearch:
     """
 
     def __init__(self, sets, costs: dict[int, int], budget: int):
-        if budget < 0:
-            raise PreconditionError(
-                f"node budget must be nonnegative, got {budget}")
         self.sets = sets
         self.costs = costs
-        self.budget = budget
+        self.budget = _count(budget, "node budget")
         self.nodes = 0
         self.lower = self.upper = None  # reported on a budget stop
         self.all = (1 << len(sets)) - 1
@@ -468,35 +467,36 @@ def extremality_report(pattern: Graph, host: Graph,
     scans read this memoized report.  The cache is keyed positionally, so
     calls that leave defaults out share an entry with calls that pass them.
 
-    When every footprint vertex is alone in its orbit, as on a host with a
-    trivial automorphism group, the invariant cover is the plain one,
-    found by the same search (value, witness and node count), with
-    ``orbit_ids`` the orbits of the witness; only a nonempty footprint
-    family reads the host's orbits."""
+    When the plain witness is a union of orbits, as on a host with a
+    trivial automorphism group, it is the invariant witness too: the
+    invariant cover is the plain solution (value, witness and
+    ``nodes_explored``, which counts the plain search) with ``orbit_ids``
+    the witness's distinct orbits, and no orbit search runs.  Only a
+    nonempty footprint family reads the host's orbits; past the
+    automorphism engine's vertex cap the stop carries the bounds
+    ``[plain value, host.n]`` on the invariant optimum."""
     return _extremality_cached(pattern, host, cap, node_budget)
-
-
-def _in_singleton_orbits(pattern: Graph, host: Graph, cap: int,
-                         part: AutomorphismGroup) -> bool:
-    """Whether every vertex of every footprint is alone in its orbit."""
-    if part.order == 1:
-        return True
-    alone = 0
-    for mask in part.masks:
-        if not mask & mask - 1:
-            alone |= mask
-    return not reduce(or_, footprints_of(pattern, host, cap).masks, 0) & ~alone
 
 
 @lru_cache(maxsize=4096)
 def _extremality_cached(pattern: Graph, host: Graph, cap: int,
                         node_budget: int) -> ExtremalityReport:
     plain = vertex_representativity(pattern, host, cap, node_budget)
+    part = None
     # a family without footprints needs no orbits, which may be out of reach
-    part = orbits(host) if plain.value else None
-    if part is not None and _in_singleton_orbits(pattern, host, cap, part):
-        invariant = replace(plain, orbit_ids=tuple(
-            part.orbit_of[v] for v in plain.witness))
+    if plain.value:
+        try:
+            part = orbits(host)
+        except ResourceLimitError as stop:
+            # the whole vertex set is an invariant cover
+            raise ResourceLimitError(stop.args[0], limit=stop.limit,
+                                     best_lower=plain.value,
+                                     best_upper=host.n) from stop
+    witness = reduce(or_, (1 << v for v in plain.witness), 0)
+    if part is not None and all(witness & om in (0, om)
+                                for om in part.masks):
+        invariant = replace(plain, orbit_ids=tuple(dict.fromkeys(
+            part.orbit_of[v] for v in plain.witness)))
     else:
         invariant = symmetric_vertex_representativity(pattern, host, cap,
                                                       node_budget)

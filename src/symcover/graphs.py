@@ -11,12 +11,15 @@ enter through ``Graph(n, edges)``, which validates them, and leave through
 built from its rows.  Named families enter through ``generate``, the one
 reader of family strings, which checks every component of a union and the
 size of the whole before it builds any.  Vertex sets enter through
-``_as_mask`` and relabellings through ``_require_permutation``, here and in
-``checks``; every bad argument raises ``PreconditionError``.
+``_as_mask``, relabellings through ``_require_permutation`` and counts
+(orders, degrees, node budgets, footprint caps) through ``_count``, here
+and in the modules built on this one; every bad argument raises
+``PreconditionError``.
 """
 from __future__ import annotations
 
 from binascii import a2b_base64, b2a_base64
+from operator import index
 
 from .errors import (FamilySpecError, GraphParseError, PreconditionError,
                      ResourceLimitError)
@@ -55,6 +58,14 @@ def _as_mask(vertices, n: int, what: str) -> int:
                                     f"outside 0..{n - 1}")
         mask |= 1 << v
     return mask
+
+
+def _count(value, what: str) -> int:
+    """``value`` as a nonnegative int, or PreconditionError."""
+    if not hasattr(type(value), "__index__") or index(value) < 0:
+        raise PreconditionError(
+            f"{what} must be a nonnegative integer, got {value!r}")
+    return index(value)
 
 
 def _require_permutation(perm, n: int) -> None:

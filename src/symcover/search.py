@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
-from operator import index
 
 from .checks import neighborhood_profile
 from .copies import (FOOTPRINT_CAP, enumerate_footprints, footprints_of,
@@ -36,7 +35,7 @@ from .covers import (NODE_BUDGET, extremality_report, min_hitting_set,
                      symmetric_vertex_representativity,
                      vertex_representativity)
 from .errors import PreconditionError, ResourceLimitError, VerificationError
-from .graphs import (Graph, bits_of, canonical_graph, column_bits,
+from .graphs import (Graph, _count, bits_of, canonical_graph, column_bits,
                      emit_graph6, generate, is_connected, lex_min_order,
                      parse_graph6)
 from .symmetry import is_vertex_transitive, uncached_orbits
@@ -110,14 +109,6 @@ def _require_cap(n: int, cap: int, kind: str) -> None:
     if n > cap:
         raise ResourceLimitError(
             f"{kind} enumeration capped at {cap} vertices", limit=cap)
-
-
-def _count(value, what: str) -> int:
-    """``value`` as a nonnegative int, or PreconditionError."""
-    if not hasattr(type(value), "__index__") or index(value) < 0:
-        raise PreconditionError(
-            f"{what} must be a nonnegative integer, got {value!r}")
-    return index(value)
 
 
 def enum_graphs(n: int, connected_only: bool = False,

@@ -20,7 +20,7 @@ from symcover.symmetry import automorphisms
 # set of those masks in brute-force order: the plain one among vertex
 # subsets in combinations order, the invariant one among unions of orbits
 # by (total size, orbit ids).  This also checks the report where it reuses
-# the plain cover (every footprint vertex alone in its orbit)
+# the plain cover (the plain witness is a union of orbits)
 patterns = [p for n in range(1, 6) for p in enum_graphs(n)]
 hosts = enum_graphs(7)
 subsets = [(c, sum(1 << v for v in c))

@@ -175,24 +175,41 @@ MUTANTS = (
            "        stack.append((cells, left, tried))\n",
            "        stack.append((cells, 0, tried))\n",
            ("tests/test_graphs.py::TestCanonical",)),
-    Mutant("a negative node budget runs the search",
-           "symcover/covers.py",
-           "        if budget < 0:\n",
-           "        if False:\n",
+    Mutant("count reader accepts a negative value",
+           "symcover/graphs.py",
+           '    if not hasattr(type(value), "__index__") '
+           "or index(value) < 0:\n",
+           '    if not hasattr(type(value), "__index__"):\n',
            ("tests/test_covers.py::TestRepresentativity::"
-            "test_negative_budget_is_a_bad_argument",)),
-    Mutant("a negative footprint cap runs the matcher",
-           "symcover/copies.py",
-           "    if cap < 0:\n",
-           "    if False:\n",
-           ("tests/test_copies.py::TestLimitsAndErrors::"
-            "test_negative_cap_is_a_bad_argument",)),
-    Mutant("enumeration reads a non-integer order",
-           "symcover/search.py",
+            "test_negative_budget_is_a_bad_argument",
+            "tests/test_copies.py::TestLimitsAndErrors::"
+            "test_negative_cap_is_a_bad_argument")),
+    Mutant("count reader accepts a non-integer",
+           "symcover/graphs.py",
            '    if not hasattr(type(value), "__index__") '
            "or index(value) < 0:\n",
            "    if index(value) < 0:\n",
-           ("tests/test_search.py::TestEnumeration::test_caps",)),
+           ("tests/test_search.py::TestEnumeration::test_caps",
+            "tests/test_copies.py::TestLimitsAndErrors::"
+            "test_cap_of_another_type_is_a_bad_argument")),
+    Mutant("budget reader accepts a float",
+           "symcover/covers.py",
+           '        self.budget = _count(budget, "node budget")\n',
+           '        self.budget = _count(int(budget), "node budget")\n',
+           ("tests/test_covers.py::TestRepresentativity::"
+            "test_budget_of_another_type_is_a_bad_argument",)),
+    Mutant("invariant reuse checks only orbit 0",
+           "symcover/covers.py",
+           "                                for om in part.masks):\n",
+           "                                for om in part.masks[:1]):\n",
+           ("tests/test_covers.py::TestTrivialGroupRule",)),
+    Mutant("orbit ids one per witness vertex",
+           "symcover/covers.py",
+           "        invariant = replace(plain, orbit_ids=tuple(dict.fromkeys(\n"
+           "            part.orbit_of[v] for v in plain.witness)))\n",
+           "        invariant = replace(plain, orbit_ids=tuple(\n"
+           "            part.orbit_of[v] for v in plain.witness))\n",
+           ("tests/test_covers.py::TestTrivialGroupRule",)),
     Mutant("classification drops the wide extremal hits",
            "symcover/search.py",
            '        return self._marked("extremal")\n',

@@ -161,7 +161,16 @@ class TestRepr:
                                  "--host", "path:300")
         assert code == 2
         assert err == ("error: automorphism engine supports at most 64 "
-                       "vertices, got 300\n")
+                       "vertices, got 300; optimum in [150, 300]\n")
+
+    def test_vertex_cap_stop_words_the_invariant_bounds(self, capsys):
+        # the plain cover of path:70 is 35, and all 70 vertices are an
+        # invariant cover
+        code, out, err = run(capsys, "repr", "--pattern", "path:2",
+                             "--host", "path:70")
+        assert (code, out) == (2, "")
+        assert err == ("error: automorphism engine supports at most 64 "
+                       "vertices, got 70; optimum in [35, 70]\n")
 
     def test_negative_bounds_are_usage_errors(self, capsys):
         # a budget stop would word bounds for a search that never ran
@@ -170,7 +179,8 @@ class TestRepr:
             code, out, err = run(capsys, "repr", "--pattern", "path:3",
                                  "--host", "cycle:6", flag, "-1")
             assert code == 2
-            assert err == f"error: {what} must be nonnegative, got -1\n"
+            assert err == (f"error: {what} must be a nonnegative integer, "
+                           "got -1\n")
 
     def test_orbits_ignore_the_order_cap(self, capsys):
         # |Aut(K13)| = 13!; orbits need only generators

@@ -218,10 +218,19 @@ class TestLimitsAndErrors:
     def test_negative_cap_is_a_bad_argument(self):
         # a cap of 0 is a cap; -1 is no count a family can stay within
         with pytest.raises(PreconditionError,
-                           match="footprint cap must be nonnegative"):
+                           match="footprint cap must be a nonnegative "
+                                 "integer, got -1"):
             footprints_of(generate("path:3"), generate("cycle:6"), cap=-1)
         with pytest.raises(ResourceLimitError, match="exceeds the cap 0"):
             footprints_of(generate("path:3"), generate("cycle:6"), cap=0)
+
+    @pytest.mark.parametrize("cap", ["5", 2.5])
+    def test_cap_of_another_type_is_a_bad_argument(self, cap):
+        # a string failed a comparison, and 2.5 ran as a cap
+        with pytest.raises(PreconditionError,
+                           match=f"footprint cap must be a nonnegative "
+                                 f"integer, got {cap!r}"):
+            footprints_of(generate("path:3"), generate("cycle:6"), cap=cap)
 
     def test_family_validates_footprint_sizes(self):
         with pytest.raises(ValueError, match="other than 3 bits"):

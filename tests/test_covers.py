@@ -497,11 +497,30 @@ class TestRepresentativity:
         # search that never ran
         pattern, host = generate("path:3"), generate("cycle:6")
         with pytest.raises(PreconditionError,
-                           match="node budget must be nonnegative, got -1"):
+                           match="node budget must be a nonnegative "
+                                 "integer, got -1"):
             vertex_representativity(pattern, host, node_budget=-1)
         with pytest.raises(ResourceLimitError,
                            match="exceeded the node budget 0"):
             vertex_representativity(pattern, host, node_budget=0)
+
+    @pytest.mark.parametrize("budget", ["5", 2.5])
+    def test_budget_of_another_type_is_a_bad_argument(self, budget):
+        # a string failed a comparison, and 2.5 ran as a budget
+        with pytest.raises(PreconditionError,
+                           match=f"node budget must be a nonnegative "
+                                 f"integer, got {budget!r}"):
+            vertex_representativity(generate("path:3"), generate("cycle:6"),
+                                    node_budget=budget)
+
+    def test_vertex_cap_stop_words_the_invariant_bounds(self):
+        # the plain cover is known and the whole vertex set is invariant
+        with pytest.raises(ResourceLimitError) as stop:
+            extremality_report(generate("path:2"), generate("path:70"))
+        assert str(stop.value) == ("automorphism engine supports at most 64 "
+                                   "vertices, got 70; optimum in [35, 70]")
+        assert (stop.value.limit, stop.value.best_lower,
+                stop.value.best_upper) == (64, 35, 70)
 
     def test_stops_word_their_bounds(self):
         # a library caller reads the bounds in the message the CLI prints
@@ -590,9 +609,14 @@ class TestExtremalityReport:
 
 
 class TestTrivialGroupRule:
-    """On a host whose footprint vertices are each alone in their orbit, a
-    trivial group among them, the report takes the invariant cover from
-    the plain one instead of solving it again."""
+    """Whenever the plain witness is a union of orbits, the report takes
+    the invariant cover from the plain one instead of solving it again:
+    the same value and witness, ``orbit_ids`` the witness's distinct
+    orbits, and ``nodes_explored`` the plain search's count, since that
+    search certified it.  ``symmetric_vertex_representativity`` always
+    searches, so the report never calls it then.  A host whose footprint
+    vertices are each alone in their orbit, a trivial group among them,
+    is one such case."""
 
     @staticmethod
     def asymmetric(graphs):
@@ -600,8 +624,9 @@ class TestTrivialGroupRule:
         return [g for g in graphs
                 if automorphisms(g).order == 1 and contains_copy(pattern, g)]
 
-    def test_matches_the_orbit_cover(self, monkeypatch):
-        pattern = generate("tailed-star:3")
+    @staticmethod
+    def counting(monkeypatch):
+        """The hosts ``symmetric_vertex_representativity`` is called on."""
         searches = []
         solve = symcover.covers.symmetric_vertex_representativity
 
@@ -611,6 +636,11 @@ class TestTrivialGroupRule:
 
         monkeypatch.setattr(symcover.covers,
                             "symmetric_vertex_representativity", counting)
+        return searches
+
+    def test_matches_the_orbit_cover(self, monkeypatch):
+        pattern = generate("tailed-star:3")
+        searches = self.counting(monkeypatch)
         small = self.asymmetric(g for n in (5, 6, 7)
                                 for g in enum_graphs(n, connected_only=True))
         rng = random.Random(61)
@@ -641,6 +671,47 @@ class TestTrivialGroupRule:
         _extremality_cached.__wrapped__(generate("path:3"), symmetric,
                                         FOOTPRINT_CAP, NODE_BUDGET)
         assert searches == [symmetric]
+
+    @pytest.mark.parametrize("spec, held, shared", [
+        ("path:3", 133, 72), ("tailed-star:3", 127, 65)])
+    def test_reuses_a_witness_made_of_orbits(self, monkeypatch, spec, held,
+                                             shared):
+        # the connected hosts on 5 or 6 vertices that hold a copy; on
+        # ``shared`` of them the witness is a union of orbits while some
+        # footprint vertex shares its orbit
+        pattern = generate(spec)
+        searches = self.counting(monkeypatch)
+        hosts = [g for n in (5, 6) for g in enum_graphs(n, connected_only=True)
+                 if contains_copy(pattern, g)]
+        count = 0
+        for host in hosts:
+            part = uncached_orbits(host)
+            family = enumerate_footprints(pattern, host)
+            want = min_orbit_cover(family, part)
+            report = _extremality_cached.__wrapped__(
+                pattern, host, FOOTPRINT_CAP, NODE_BUDGET)
+            got = report.invariant
+            witness = sum(1 << v for v in report.plain.witness)
+            if not all(witness & om in (0, om) for om in part.masks):
+                assert got == want
+                assert searches.pop() is host
+                continue
+            assert (got.value, got.witness, got.orbit_ids) == (
+                want.value, want.witness, want.orbit_ids)
+            assert got.nodes_explored == report.plain.nodes_explored
+            alone = reduce(or_, (m for m in part.masks if not m & m - 1), 0)
+            count += bool(reduce(or_, family.masks) & ~alone)
+        assert searches == []
+        assert (len(hosts), count) == (held, shared)
+
+    def test_orbit_ids_are_distinct(self):
+        # K1 in C5: the witness is all five vertices, one orbit
+        report = _extremality_cached.__wrapped__(
+            Graph(1, []), generate("cycle:5"), FOOTPRINT_CAP, NODE_BUDGET)
+        assert report.invariant.witness == (0, 1, 2, 3, 4)
+        assert report.invariant.orbit_ids == (0,)
+        assert report.invariant.nodes_explored == (
+            report.plain.nodes_explored)
 
 
 def _rnd(seed, n):
