@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .copies import footprints_of, FOOTPRINT_CAP
 from .covers import CoverSolution, NODE_BUDGET, extremality_report
@@ -571,7 +571,8 @@ def weight_orbit(host: Graph,
     generators = group.generators
     weights = dict(fn.entries)
     start_colors = [weights.get(v, 0) for v in range(host.n)]
-    stabilizer_order, _ = _chain(host, _refined(host, start_colors))
+    stabilizer_order = prod(size for size, _ in
+                            _chain(host, _refined(host, start_colors)))
     size = group.order // stabilizer_order
     images = size * len(generators)
     if images > ELEMENT_CAP:

@@ -27,7 +27,7 @@ from .graphs import (_UNARY_KINDS, Graph, emit_graph6, generate,
 from .report import _rational, rat, render_human
 from .search import (classify_vt_extremal, find_dense_counterexample,
                      scan_connected_extremal)
-from .symmetry import is_vertex_transitive, orbits
+from .symmetry import automorphisms, is_vertex_transitive
 
 __all__ = ["main"]
 
@@ -105,7 +105,7 @@ def _cmd_gen(args):
 
 def _cmd_info(args):
     g = args.graph
-    group = orbits(g)
+    group = automorphisms(g)
     doc = {
         "graph6": emit_graph6(g),
         "n": g.n,

@@ -40,7 +40,7 @@ from .errors import (PreconditionError, ResourceLimitError,
                      VerificationError)
 from .graphs import Graph, _count, bits_of
 from .report import rat
-from .symmetry import AutomorphismGroup, orbits
+from .symmetry import OrbitPartition, orbits
 
 __all__ = [
     "CoverSolution",
@@ -407,7 +407,7 @@ def symmetric_vertex_representativity(
     return min_orbit_cover(family, orbits(host), node_budget)
 
 
-def min_orbit_cover(family: CopyFamily, part: AutomorphismGroup,
+def min_orbit_cover(family: CopyFamily, part: OrbitPartition,
                     node_budget: int = NODE_BUDGET) -> CoverSolution:
     """Least total size of a union of the given orbits meeting every
     footprint of the family.  A vertex outside the partition is a

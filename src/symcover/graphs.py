@@ -10,11 +10,11 @@ enter through ``Graph(n, edges)``, which validates them, and leave through
 ``edges()``; every graph derived from another graph or from graph6 bits is
 built from its rows.  Named families enter through ``generate``, the one
 reader of family strings, which checks every component of a union and the
-size of the whole before it builds any.  Vertex sets enter through
-``_as_mask``, relabellings through ``_require_permutation`` and counts
-(orders, degrees, node budgets, footprint caps) through ``_count``, here
-and in the modules built on this one; every bad argument raises
-``PreconditionError``.
+size of the whole before it builds any.  Vertices enter through
+``_vertex``, vertex sets through ``_as_mask``, relabellings through
+``_require_permutation`` and counts (orders, degrees, node budgets,
+footprint caps) through ``_count``, here and in the modules built on this
+one; every bad argument raises ``PreconditionError``.
 """
 from __future__ import annotations
 
@@ -50,14 +50,22 @@ def bits_of(mask: int):
 
 def _as_mask(vertices, n: int, what: str) -> int:
     """The mask of a collection of vertices of an n-vertex graph: the one
-    reader of vertex sets, refusing a vertex outside 0..n-1."""
+    reader of vertex sets."""
     mask = 0
     for v in vertices:
-        if not (0 <= v < n):
-            raise PreconditionError(f"{what} contains vertex {v}, "
-                                    f"outside 0..{n - 1}")
-        mask |= 1 << v
+        mask |= 1 << _vertex(v, n, what)
     return mask
+
+
+def _vertex(v, n: int, what: str) -> int:
+    """``v`` as a vertex of an n-vertex graph, an int in 0..n-1, or
+    PreconditionError naming ``what``: the one reader of vertices."""
+    if not hasattr(type(v), "__index__"):
+        raise PreconditionError(f"{what} contains {v!r}, not an integer")
+    if not 0 <= index(v) < n:
+        raise PreconditionError(f"{what} contains vertex {v}, "
+                                f"outside 0..{n - 1}")
+    return index(v)
 
 
 def _count(value, what: str) -> int:
@@ -86,10 +94,9 @@ class Graph:
             raise PreconditionError("vertex count must be >= 0")
         rows = [0] * n
         for u, v in edges:
+            u, v = _vertex(u, n, "edge"), _vertex(v, n, "edge")
             if u == v:
                 raise PreconditionError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise PreconditionError(f"edge ({u},{v}) outside 0..{n - 1}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         self.n = n

@@ -20,13 +20,22 @@ no search.  The group's generators are the searched witnesses of every
 level, and the same closure, run on the generators, gives the vertex
 orbits.
 
-One value is cached per graph, the group as its exact order, its
-generators and the vertex orbits they give, each orbit kept once, as a
-vertex mask; its ``orbits`` view lists them as vertex tuples for
-printing.  ``automorphisms`` and ``orbits`` return that same value.  No
-element list is kept.  The same chain, started from a coloring refined
-from other starting classes, gives the order of the subgroup that keeps
-those classes; ``checks`` sizes weight orbits that way.
+The orbits need less than the whole chain.  Refinement cannot split an
+orbit, so each orbit lies inside one color class; once the witnesses
+found so far join every class into one orbit, the orbits are proven, and
+the deeper levels, which only the group order needs, are skipped (nauty
+and Traces use the same fact, McKay & Piperno 2014).  A discrete
+coloring admits only the identity, so the chain then searches nothing.
+
+Two values are cached per graph.  ``orbits`` gives an ``OrbitPartition``:
+the witnesses found up to that stop, and the vertex orbits, each kept
+once as a vertex mask, with an ``orbits`` view listing them as vertex
+tuples for printing.  ``automorphisms`` runs the chain to its end and
+gives an ``AutomorphismGroup``, the same partition with all generators
+and the exact order.  No element list is kept.  The same chain, started
+from a coloring refined from other starting classes, gives the order of
+the subgroup that keeps those classes; ``checks`` sizes weight orbits
+that way.
 """
 from __future__ import annotations
 
@@ -38,6 +47,7 @@ from .errors import ResourceLimitError
 from .graphs import Graph, bits_of
 
 __all__ = [
+    "OrbitPartition",
     "AutomorphismGroup",
     "automorphisms",
     "orbits",
@@ -48,33 +58,47 @@ __all__ = [
 VERTEX_CAP = 64
 
 
-def _refined(g: Graph, colors) -> tuple[int, ...]:
+def _refined(g: Graph, colors) -> tuple:
     """The equitable coloring reached from the starting ``colors`` (any
-    mutually comparable values, one per vertex) by splitting classes by
-    the multiset of neighbor colors until stable.  Every automorphism that
-    keeps the starting colors keeps the result."""
-    n = g.n
+    hashable values, one per vertex) by splitting classes by the number of
+    neighbors in each class until no class splits.  Every automorphism
+    that keeps the starting colors keeps the result.
+
+    Only the partition is read, so the colors are numbered in order of
+    first appearance, and a vertex alone in its class is not re-signed:
+    nothing can split it."""
+    rows = g.rows
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in bits_of(g.rows[v]))))
-            for v in range(n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
+        cells = _cells(colors)
+        masks = list(cells.values())
+        palette: dict = {}
+        new = [palette.setdefault(
+                   (c,) if cells[c] == 1 << v else
+                   (c, *[(rows[v] & m).bit_count() for m in masks]),
+                   len(palette))
+               for v, c in enumerate(colors)]
+        if len(palette) == len(cells):
             return tuple(colors)
         colors = new
 
 
-@dataclass(frozen=True)
-class AutomorphismGroup:
-    """Automorphism group of a graph: its exact order, its generators, and
-    the vertex orbits they give, as masks.  Orbits are numbered by their
-    smallest member, ascending; ``orbit_of[v]`` is v's orbit id and
-    ``masks[oid]`` the vertex mask of orbit oid.  ``orbits`` is the view a
-    report prints: the vertex tuples, in orbit id order."""
+def _cells(colors) -> dict:
+    """Each color's class as a vertex mask, keyed by color."""
+    cells: dict = {}
+    for v, col in enumerate(colors):
+        cells[col] = cells.get(col, 0) | 1 << v
+    return cells
 
-    order: int
+
+@dataclass(frozen=True)
+class OrbitPartition:
+    """The vertex orbits of a graph's automorphism group, as masks, and
+    automorphisms that generate a subgroup with the same orbits.  Orbits
+    are numbered by their smallest member, ascending; ``orbit_of[v]`` is
+    v's orbit id and ``masks[oid]`` the vertex mask of orbit oid.
+    ``orbits`` is the view a report prints: the vertex tuples, in orbit id
+    order."""
+
     generators: tuple[tuple[int, ...], ...]
     orbit_of: tuple[int, ...]
     masks: tuple[int, ...]
@@ -84,15 +108,33 @@ class AutomorphismGroup:
         return tuple(tuple(bits_of(m)) for m in self.masks)
 
 
+@dataclass(frozen=True)
+class AutomorphismGroup(OrbitPartition):
+    """The orbit partition with generators of the whole group and its
+    exact order."""
+
+    order: int
+
+
 @lru_cache(maxsize=4096)
-def _automorphism_group(g: Graph) -> AutomorphismGroup:
-    """The whole group, uncapped: orbits need only its generators."""
+def _symmetry(g: Graph, whole: bool) -> OrbitPartition:
+    """The orbit partition of g, read off the chain until its witnesses
+    join each color class into one orbit, or with ``whole`` the group,
+    read off the chain to its end.  Uncapped: orbits need only
+    generators."""
     if g.n > VERTEX_CAP:
         raise ResourceLimitError(
             f"automorphism engine supports at most {VERTEX_CAP} vertices, "
             f"got {g.n}", limit=VERTEX_CAP)
-    degrees = [g.degree(v) for v in range(g.n)]
-    order, generators = _chain(g, _refined(g, degrees))
+    colors = _refined(g, [g.degree(v) for v in range(g.n)])
+    cells = _cells(colors).values()
+    order = 1
+    generators = []
+    for size, searched in _chain(g, colors):
+        order *= size
+        generators += searched
+        if not whole and _settled(cells, generators):
+            break
     # each orbit closes the lowest vertex not yet placed
     orbit_of = [-1] * g.n
     masks = []
@@ -103,30 +145,41 @@ def _automorphism_group(g: Graph) -> AutomorphismGroup:
             orbit_of[v] = len(masks)
         masks.append(mask)
         left &= ~mask
-    return AutomorphismGroup(order, generators, tuple(orbit_of), tuple(masks))
+    part = (tuple(generators), tuple(orbit_of), tuple(masks))
+    return AutomorphismGroup(*part, order) if whole else OrbitPartition(*part)
 
 
-def _chain(g: Graph, colors) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The exact order and generators of the group of automorphisms of g
-    that keep each vertex in its class of the equitable coloring
-    ``colors``.
+def _settled(cells, generators) -> bool:
+    """Whether the generators join each class into one orbit.  They keep
+    every class, so each orbit of the group lies inside one, and the
+    orbits are then exactly the classes."""
+    return all(_close(c & -c, generators) == c for c in cells)
+
+
+def _chain(g: Graph, colors):
+    """The stabilizer chain of the group of automorphisms of g that keep
+    each vertex in its class of the equitable coloring ``colors``, one
+    level at a time: each level that finds a witness yields the size of
+    the orbit of b_t its witnesses reach and those witnesses.  The sizes
+    multiply to the group's order, and the witnesses generate it.
 
     Level t runs one pinned search per candidate image of b_t that the
-    level's searched witnesses do not yet reach, and adds each witness it
-    finds to the generators.  The searched witnesses of level t move b_t
-    across its whole orbit under the stabilizer of the prefix, so with
-    the deeper levels' they generate that stabilizer, and those of all
-    levels generate the group."""
+    level's searched witnesses do not yet reach.  The searched witnesses
+    of level t move b_t across its whole orbit under the stabilizer of
+    the prefix, so with the deeper levels' they generate that stabilizer,
+    and those of all levels generate the group; a level that finds none
+    fixes b_t.  On a discrete coloring no automorphism but the identity
+    keeps the classes, and the chain yields nothing."""
     n = g.n
+    cells = _cells(colors)
+    if len(cells) == n:
+        return
     rows = g.rows
     # the base is the match order, so the pinned vertices are a prefix of
     # it; each position maps only into its vertex's color class
-    classes: dict[int, int] = {}
-    for x, col in enumerate(colors):
-        classes[col] = classes.get(col, 0) | 1 << x
     order = _match_order(g)
     back = _back_edges(g, order)
-    elig = [classes[colors[v]] for v in order]
+    elig = [cells[colors[v]] for v in order]
     found = []
 
     def leaf(used: int, images) -> bool:
@@ -136,8 +189,6 @@ def _chain(g: Graph, colors) -> tuple[int, tuple[tuple[int, ...], ...]]:
         found.append(tuple(perm))
         return True
 
-    generators = []
-    size = 1
     fixed = 0
     for t, i in enumerate(order):
         reached = 1 << i  # the images of i the level's witnesses reach
@@ -151,11 +202,10 @@ def _chain(g: Graph, colors) -> tuple[int, tuple[tuple[int, ...], ...]]:
             if _embed(rows, back, pinned, leaf, [-1] * n):
                 searched.append(found.pop())
                 reached = _close(reached, searched)
-        generators += searched
-        size *= reached.bit_count()
+        if searched:
+            yield reached.bit_count(), searched
         elig[t] = 1 << i
         fixed |= 1 << i
-    return size, tuple(generators)
 
 
 def _close(mask: int, gens) -> int:
@@ -173,18 +223,20 @@ def _close(mask: int, gens) -> int:
 
 def automorphisms(g: Graph) -> AutomorphismGroup:
     """The group of g, cached per graph; its order is exact at any size."""
-    return _automorphism_group(g)
+    return _symmetry(g, True)
 
 
-def orbits(g: Graph) -> AutomorphismGroup:
-    """The same cached value as ``automorphisms``, read for its orbits."""
-    return _automorphism_group(g)
+def orbits(g: Graph) -> OrbitPartition:
+    """The vertex orbits of g, cached per graph; the chain stops once its
+    witnesses join each color class into one orbit."""
+    return _symmetry(g, False)
 
 
-def uncached_orbits(g: Graph) -> AutomorphismGroup:
-    """The group and its orbits recomputed from scratch, past the cache,
-    so a re-verification does not read back the result it checks."""
-    return _automorphism_group.__wrapped__(g)
+def uncached_orbits(g: Graph) -> OrbitPartition:
+    """The orbits recomputed from scratch, past the cache, by the same
+    early-stopping chain as ``orbits``, so a re-verification does not read
+    back the result it checks."""
+    return _symmetry.__wrapped__(g, False)
 
 
 def is_vertex_transitive(g: Graph) -> bool:

@@ -7,7 +7,7 @@ from symcover.copies import contains_copy, enumerate_footprints
 from symcover.covers import extremality_report, min_orbit_cover
 from symcover.graphs import generate
 from symcover.search import enum_graphs
-from symcover.symmetry import uncached_orbits
+from symcover.symmetry import automorphisms, uncached_orbits
 
 # the report reuses the plain cover whenever its witness is a union of
 # orbits.  On the 3,704 connected hosts on 5-8 vertices with a trivial
@@ -28,7 +28,7 @@ for n in range(5, 9):
             continue
         got = report.invariant
         want = min_orbit_cover(enumerate_footprints(pattern, host), part)
-        if part.order == 1:
+        if automorphisms(host).order == 1:
             trivial += 1
         else:
             symmetric += 1

@@ -11,12 +11,13 @@ from symcover.copies import enumerate_footprints
 from symcover.covers import extremality_report
 from symcover.graphs import bits_of
 from symcover.search import enum_graphs
-from symcover.symmetry import automorphisms
+from symcover.symmetry import automorphisms, orbits
 
 # tier-1 checks groups, footprints and covers on hosts up to 6 vertices.
 # Here each host's generators must generate the group brute force finds,
-# with its order and orbits.  Each footprint family must be brute force's,
-# in ascending masks.  Each cover of the report is then the first hitting
+# with its order and orbits, and the orbits read off the chain where it
+# stops early must be those same orbits.  Each footprint family must be
+# brute force's, in ascending masks.  Each cover of the report is then the first hitting
 # set of those masks in brute-force order: the plain one among vertex
 # subsets in combinations order, the invariant one among unions of orbits
 # by (total size, orbit ids).  This also checks the report where it reuses
@@ -36,6 +37,8 @@ for host in hosts:
         sys.exit(f"{host}: order {group.order}, expected {len(brute)}")
     if sorted(group.orbits) != orbs:
         sys.exit(f"{host}: orbits {group.orbits}")
+    if orbits(host).masks != group.masks:
+        sys.exit(f"{host}: early-stopped orbits {orbits(host).orbits}")
     unions = sorted((sum(len(orbs[i]) for i in ids), ids,
                      sum(1 << v for i in ids for v in orbs[i]))
                     for k in range(len(orbs) + 1)

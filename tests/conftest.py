@@ -44,6 +44,14 @@ def cube() -> Graph:
     return Graph(8, edges)
 
 
+def frucht() -> Graph:
+    """The Frucht graph: cubic on 12 vertices with only the identity as
+    automorphism, from its LCF notation [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2]."""
+    shifts = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+    return Graph(12, [(i, (i + 1) % 12) for i in range(12)]
+                 + [(i, (i + s) % 12) for i, s in enumerate(shifts)])
+
+
 def hypercube(d: int) -> Graph:
     n = 1 << d
     return Graph(n, [(v, v ^ 1 << b) for v in range(n) for b in range(d)

@@ -45,6 +45,25 @@ MUTANTS = (
            "        generators += searched\n",
            "        generators += searched[1:]\n",
            ("tests/test_symmetry.py::TestElements",)),
+    Mutant("settle once any class closes",
+           "symcover/symmetry.py",
+           "    return all(_close(c & -c, generators) == c for c in cells)\n",
+           "    return any(_close(c & -c, generators) == c for c in cells)\n",
+           ("tests/test_symmetry.py::TestTwoValues",)),
+    Mutant("settle before the first level",
+           "symcover/symmetry.py",
+           "    for size, searched in _chain(g, colors):\n",
+           "    for size, searched in _chain(g, colors) if whole else ():\n",
+           ("tests/test_symmetry.py::TestTwoValues",)),
+    Mutant("vertex reader accepts a float",
+           "symcover/graphs.py",
+           '    if not hasattr(type(v), "__index__"):\n',
+           '    if not hasattr(type(v), "__int__"):\n',
+           ("tests/test_graphs.py::test_refusals_name_their_fault",
+            "tests/test_checks.py::TestOrbitSumBound::"
+            "test_vertex_of_another_type",
+            "tests/test_checks.py::TestWeightFunction::"
+            "test_vertex_of_another_type_rejected")),
     Mutant("twin classes keyed by degree",
            "symcover/copies.py",
            "        for key in (rows[u], ~(rows[u] | 1 << u)):\n",
@@ -224,8 +243,8 @@ MUTANTS = (
             "test_human_output_is_the_records_then_the_document",)),
     Mutant("uncached orbits read the cache",
            "symcover/symmetry.py",
-           "    return _automorphism_group.__wrapped__(g)\n",
-           "    return _automorphism_group(g)\n",
+           "    return _symmetry.__wrapped__(g, False)\n",
+           "    return _symmetry(g, False)\n",
            ("tests/test_search.py::TestVtScan::"
             "test_reverification_reads_no_cache",)),
     Mutant("orbit-sum weight ignores the marked count",
@@ -291,8 +310,8 @@ MUTANTS = (
             "tests/test_cli.py::TestRepr::test_node_budget_flag")),
     Mutant("vertex reader accepts vertex n",
            "symcover/graphs.py",
-           "        if not (0 <= v < n):\n",
-           "        if not (0 <= v <= n):\n",
+           "    if not 0 <= index(v) < n:\n",
+           "    if not 0 <= index(v) <= n:\n",
            ("tests/test_graphs.py::test_refusals_name_their_fault",
             "tests/test_checks.py::TestWeightFunction::"
             "test_vertex_out_of_range_rejected")),

@@ -89,6 +89,13 @@ class TestOrbitSumBound:
         with pytest.raises(PreconditionError):
             verify_orbit_sum_bound(generate("complete:3"), k5, (9,))
 
+    @pytest.mark.parametrize("vertex", [0.5, 1.0, "0"])
+    def test_vertex_of_another_type(self, k5, vertex):
+        with pytest.raises(PreconditionError,
+                           match=f"marked set contains {vertex!r}, not an "
+                                 f"integer"):
+            verify_orbit_sum_bound(generate("path:2"), k5, [vertex])
+
     def test_no_copies_holds_vacuously(self):
         report = verify_orbit_sum_bound(generate("complete:4"), petersen(),
                                         ())
@@ -464,6 +471,13 @@ class TestWeightFunction:
         with pytest.raises(ValueError):
             WeightFunction(k5, {5: 1})
 
+    @pytest.mark.parametrize("vertex", ["0", 0.0])
+    def test_vertex_of_another_type_rejected(self, k5, vertex):
+        with pytest.raises(PreconditionError,
+                           match=f"weight function contains {vertex!r}, not "
+                                 f"an integer"):
+            WeightFunction(k5, {vertex: 1})
+
     @pytest.mark.parametrize("weight", ["x", "1/0", None, float("nan")])
     def test_unreadable_weight_rejected(self, k5, weight):
         with pytest.raises(PreconditionError) as info:
@@ -570,8 +584,9 @@ class TestWeightOrbit:
         chain = symcover.checks._chain
 
         def doubled(g, colors):
-            order, generators = chain(g, colors)
-            return 2 * order, generators
+            # the chain's levels with one more factor 2 on the order
+            yield 2, []
+            yield from chain(g, colors)
 
         monkeypatch.setattr(symcover.checks, "_chain", doubled)
         host = petersen()

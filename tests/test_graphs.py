@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import circulant, cube, frames_left, relabelled
 from oracles import brute_canonical_edges
 from symcover.errors import (FamilySpecError, GraphParseError,
-                             ResourceLimitError)
+                             PreconditionError, ResourceLimitError)
 from symcover.graphs import (
     Graph,
     canonical_form,
@@ -120,6 +120,17 @@ INPUT_REFUSALS = [
     (lambda: Graph(3).relabel((0, 0, 1)), ValueError,
      "relabeling must be a permutation of 0..n-1"),
     (lambda: induced_subgraph(Graph(4), (1, 4)), ValueError, "outside 0..3"),
+    # a vertex is an int, so a float or a str is refused, not converted
+    (lambda: induced_subgraph(Graph(4), [1.5]), PreconditionError,
+     "vertex set contains 1.5, not an integer"),
+    (lambda: induced_subgraph(Graph(4), ["a"]), PreconditionError,
+     "vertex set contains 'a', not an integer"),
+    (lambda: Graph(3, [(0, 1.0)]), PreconditionError,
+     "edge contains 1.0, not an integer"),
+    (lambda: Graph(3, [(0, "x")]), PreconditionError,
+     "edge contains 'x', not an integer"),
+    (lambda: Graph(3, [(0, 3)]), PreconditionError,
+     "edge contains vertex 3, outside 0..2"),
 ]
 
 

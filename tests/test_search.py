@@ -187,7 +187,7 @@ class TestVtScan:
         report = classify_vt_extremal(3, 6)
         (g6,) = report.classification
         caches = (symcover.copies._footprints_cached,
-                  symcover.symmetry._automorphism_group)
+                  symcover.symmetry._symmetry)
         before = [cache.cache_info()[:2] for cache in caches]
         symcover.search._reverify(pattern, g6, "plain=1 invariant=5")
         assert [cache.cache_info()[:2] for cache in caches] == before

@@ -2,20 +2,18 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from itertools import combinations
 
 import pytest
 
 import symcover.symmetry
-from conftest import (circulant, cube, hypercube, kneser, paley, petersen,
-                      prism, random_cubic, relabelled)
+from conftest import (circulant, cube, frucht, hypercube, kneser, paley,
+                      petersen, prism, random_cubic, relabelled)
 from oracles import brute_automorphisms, brute_orbits, generated_group
 from symcover.copies import _match_order
 from symcover.graphs import Graph, disjoint_union, generate
 from symcover.symmetry import (
-    AutomorphismGroup,
     automorphisms,
     is_vertex_transitive,
     orbits,
@@ -77,22 +75,26 @@ class TestElements:
 
     def test_generators_are_automorphisms(self):
         # after Petersen, hosts on which an index-order search ran for minutes
-        # the generator counts are pinned: the bench gate walks every edge
-        # once per generator, so a chain change that moves them moves the
-        # bench too
+        # the generator counts are pinned, the whole group's and the
+        # orbits', which stop once the witnesses join each color class:
+        # the bench gate walks every edge once per generator, so a chain
+        # change that moves them moves the bench too
         rng = random.Random(1)
-        for g, order, count in (
-            (petersen(), 120, 7),
-            (random_cubic(random.Random(3), 60), 1, 0),
-            (kneser(8, 3), 40320, 18),
-            (relabelled(circulant(32, (1, 4)), rng)[0], 64, 3),
-            (relabelled(hypercube(6), rng)[0], 46080, 14),
-            (relabelled(circulant(40, (1, 7)), rng)[0], 80, 3),
+        for g, order, count, orbit_count in (
+            (petersen(), 120, 7, 3),
+            (random_cubic(random.Random(3), 60), 1, 0, 0),
+            (kneser(8, 3), 40320, 18, 7),
+            (relabelled(circulant(32, (1, 4)), rng)[0], 64, 3, 2),
+            (relabelled(hypercube(6), rng)[0], 46080, 14, 3),
+            (relabelled(circulant(40, (1, 7)), rng)[0], 80, 3, 2),
         ):
             group = automorphisms(g)
-            assert group.order == orbits(g).order == order
+            part = orbits(g)
+            assert group.order == order
             assert len(group.generators) == count
-            assert all(is_automorphism(g, p) for p in group.generators)
+            assert len(part.generators) == orbit_count
+            assert all(is_automorphism(g, p)
+                       for p in group.generators + part.generators)
 
     def test_reached_images_are_not_searched(self, monkeypatch):
         # every vertex of C(20;1,3) is an image of the first base point,
@@ -108,7 +110,7 @@ class TestElements:
             return embed(hrows, back, elig, leaf, above)
 
         monkeypatch.setattr(symcover.symmetry, "_embed", counting)
-        group = symcover.symmetry._automorphism_group.__wrapped__(g)
+        group = symcover.symmetry._symmetry.__wrapped__(g, True)
         assert group.order == 40
         assert 0 < len(level0) < g.n - 1
         assert all(is_automorphism(g, p) for p in group.generators)
@@ -158,22 +160,88 @@ class TestOrbits:
 ASYMMETRIC = Graph(6, [(0, 5), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5)])
 
 
-class TestOneGroup:
-    @pytest.mark.parametrize("g, order", [
-        (petersen(), 120),
+K33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+# the degrees split K5 from the rest; K4 and K(3,3) share one color class
+# but not an orbit, so a chain that stopped at K5's class would lie
+K5_K4_K33 = disjoint_union(generate("complete:5"),
+                           disjoint_union(generate("complete:4"), K33))
+
+
+class TestTwoValues:
+    """``orbits`` stops the chain once its witnesses join each color class
+    into one orbit; ``automorphisms`` runs it to its end for the order."""
+
+    @pytest.mark.parametrize("g, order, shape", [
+        (petersen(), 120, [10]),
         (disjoint_union(generate("complete:5"), generate("complete:5")),
-         28800),
-        (Graph(6, [(u, v) for u in range(3) for v in range(3, 6)]), 72),
-        (ASYMMETRIC, 1),
-    ], ids=["petersen", "2K5", "K33", "trivial"])
-    def test_group_and_orbits_are_one_value(self, g, order):
+         28800, [10]),
+        (K33, 72, [6]),
+        (ASYMMETRIC, 1, [1] * 6),
+        (frucht(), 1, [1] * 12),
+        (K5_K4_K33, 207360, [4, 5, 6]),
+    ], ids=["petersen", "2K5", "K33", "trivial", "frucht", "K5+K4+K33"])
+    def test_orbits_are_the_groups_orbits(self, g, order, shape):
+        part = orbits(g)
+        assert orbits(g) is part
         group = automorphisms(g)
-        assert orbits(g) is group
         assert group.order == order
+        assert (part.orbit_of, part.masks) == (group.orbit_of, group.masks)
+        assert sorted(m.bit_count() for m in part.masks) == shape
+        assert all(is_automorphism(g, p) for p in part.generators)
         fresh = uncached_orbits(g)
-        assert fresh is not group
-        for field in dataclasses.fields(AutomorphismGroup):
-            assert getattr(fresh, field.name) == getattr(group, field.name)
+        assert fresh is not part
+        assert fresh == part
+
+    @pytest.mark.parametrize("g", [frucht(), K5_K4_K33],
+                             ids=["frucht", "K5+K4+K33"])
+    def test_chain_runs_past_a_class_of_several_orbits(self, g,
+                                                       monkeypatch):
+        # one color class holds several orbits, so no level closes it
+        # and the orbits read the chain to its end, as the group does
+        calls = []
+        embed = symcover.symmetry._embed
+
+        def counting(*args):
+            calls.append(args[2])
+            return embed(*args)
+
+        monkeypatch.setattr(symcover.symmetry, "_embed", counting)
+        part = uncached_orbits(g)
+        levels = {sum(m.bit_count() == 1 for m in elig) for elig in calls}
+        assert len(levels) > 1
+        orbit_calls = len(calls)
+        calls.clear()
+        group = symcover.symmetry._symmetry.__wrapped__(g, True)
+        assert len(calls) == orbit_calls
+        assert part.generators == group.generators
+
+    def test_vertex_transitive_host_stops_after_level_0(self, monkeypatch):
+        g, _ = relabelled(hypercube(6), random.Random(4))
+        base = _match_order(g)[0]
+        pinned = []
+        embed = symcover.symmetry._embed
+
+        def counting(hrows, back, elig, leaf, above):
+            pinned.append(elig[0])
+            return embed(hrows, back, elig, leaf, above)
+
+        monkeypatch.setattr(symcover.symmetry, "_embed", counting)
+        part = uncached_orbits(g)
+        assert part.masks == ((1 << g.n) - 1,)
+        # every search pins b_0 to another image: none fixes it
+        assert pinned and not any(e == 1 << base for e in pinned)
+
+    def test_discrete_coloring_searches_nothing(self, monkeypatch):
+        called = []
+        for name in ("_embed", "_match_order"):
+            monkeypatch.setattr(symcover.symmetry, name,
+                                lambda *args, name=name: called.append(name))
+        part = uncached_orbits(ASYMMETRIC)
+        group = symcover.symmetry._symmetry.__wrapped__(ASYMMETRIC, True)
+        assert called == []
+        assert part.masks == group.masks == tuple(1 << v for v in range(6))
+        assert part.generators == group.generators == ()
+        assert group.order == 1
 
 
 class TestRelabellingInvariance:
