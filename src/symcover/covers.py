@@ -5,11 +5,13 @@ copy footprint of the pattern; ``symmetric_vertex_representativity`` is the
 least size of such a set that is additionally a union of automorphism
 orbits.  Both are solved exactly by one branch and bound, ``_CoverSearch``,
 with certified optimality; ties are broken toward the lexicographically
-smallest witness.  The search indexes the sets by bit, so a node is a mask
-of live set indices plus a mask of banned units, over sets its callers put
-in search order (``_search_order``).  A node branches on its lowest live
-set, strongest unit first, and skips a unit that a unit tried before it
-replaces at no greater cost.  The witness comes from a scan over units in
+smallest witness.  The search indexes the sets by bit from the top: of the
+N sets its callers put in search order (``_search_order``), set i is bit
+N-1-i.  A node is a mask of live set indices plus a mask of banned units.
+It branches on its first live set in search order, the top live bit, so
+its masks shorten as their first sets are hit.  It tries that set's units
+strongest first and skips a unit that a unit tried before it replaces at
+no greater cost.  The witness comes from a scan over units in
 ascending order that searches only outside the optimal cover it holds, so
 the branch order shapes the tree but moves no witness.
 
@@ -75,17 +77,21 @@ class _CoverSearch:
 
     Units are integers with positive costs; every set in the family must
     contain a chosen unit.  Callers pass the sets in search order (distinct, by
-    (size, mask), none containing another), which shapes only the tree.  Set i
-    is bit i of an index mask: ``inc[u]`` is the mask of the sets holding unit
-    u.  ``meet`` maps a unit mask to the mask of the sets that meet it; the
-    pack bound fills it with the available units of the sets it packs, so it
-    holds at most one entry per subset of a set, for one search.
+    (size, mask), none containing another), which shapes only the tree.  The
+    index numbers them from the top: ``sets`` holds them reversed, bit j of
+    an index mask is ``sets[j]``, and ``inc[u]`` is the mask of the sets
+    holding unit u.  ``meet`` maps a unit mask to the complement of the mask
+    of the sets that meet it; the pack bound fills it with the available
+    units of the sets it packs, so it holds at most one entry per subset of
+    a set, for one search.
 
     A search node is a mask of live (still unhit) set indices plus a mask
-    of banned units.  Choosing u leaves ``live & ~inc[u]``.  Branching
-    takes the lowest live set, ``(live & -live).bit_length() - 1``, and
-    tries its available units by live sets hit per unit of cost, most
-    first, ties to the lowest unit.  The key is ``(inc[u] & live)
+    of banned units.  Choosing u hits ``hit = live & inc[u]`` and leaves
+    ``live ^ hit``.  Branching takes the first live set in search order,
+    the top live bit ``live.bit_length() - 1``, so the masks a search
+    holds shorten as it descends and every mask operation on them gets
+    cheaper.  It tries the set's available units by live sets hit per unit
+    of cost, most first, ties to the lowest unit.  The key is ``(inc[u] & live)
     .bit_count() * rate[u]`` with ``rate[u] = lcm(costs) // costs[u]``, so
     the order is exact in integers.  Each branch bans the units tried
     before it, so the search space partitions, and the strongest unit,
@@ -114,7 +120,7 @@ class _CoverSearch:
     before it, and another live set may hold only those.  Such a dead set
     can never be hit, because branching never chooses a banned unit, so
     the bound prices the node out and no leaf holds a dead set.  A node
-    that passes the bound therefore has a lowest live set with an available
+    that passes the bound therefore has a first live set with an available
     unit to branch on.  The optimum search holds the greedy's cover, less
     its redundant units (``_greedy``), and its cost is the starting
     ``upper``.  The search then looks only for a strictly cheaper cover:
@@ -135,7 +141,7 @@ class _CoverSearch:
     """
 
     def __init__(self, sets, costs: dict[int, int], budget: int):
-        self.sets = sets
+        self.sets = sets[::-1]  # bit j of a set index mask is self.sets[j]
         self.costs = costs
         self.budget = _count(budget, "node budget")
         self.nodes = 0
@@ -143,10 +149,10 @@ class _CoverSearch:
         self.all = (1 << len(sets)) - 1
         self.units = units = reduce(or_, sets, 0)
         cols = [bytearray(b"0") * len(sets) for _ in range(units.bit_length())]
-        for i, s in enumerate(sets, 1):
+        for i, s in enumerate(sets):
             while s:
                 low = s & -s
-                cols[low.bit_length() - 1][-i] = 49  # digit "1" for set i - 1
+                cols[low.bit_length() - 1][i] = 49  # digit "1" at bit N-1-i
                 s ^= low
         self.inc = [int(col, 2) for col in cols]  # linear time in base 2
         self.meet = {}
@@ -200,7 +206,7 @@ class _CoverSearch:
             heappop(heap)
             picks.append((u, hit))
             chosen |= 1 << u
-            live &= ~inc[u]
+            live ^= hit
         later = 0  # the sets that the held picks after this one hit
         for u, newly in reversed(picks):
             if newly & ~later:
@@ -215,37 +221,37 @@ class _CoverSearch:
 
         Every completion below a node uses only unbanned units, so live
         sets that are pairwise disjoint on their available units need
-        distinct units.  The packing takes the lowest live set, prices it
+        distinct units.  The packing takes the first live set, prices it
         at the cheapest of its available units ``r`` and drops every live
-        set that meets ``r``.  A set with no available unit can never be
-        hit, so it returns ``stop`` at once.  ``meet[r]`` is the mask of
-        the sets that meet ``r``."""
+        set that meets ``r``: ``meet[r]`` is the complement of their mask,
+        so one ``&`` drops them.  Under flat costs every packed set costs
+        the same, so it counts down the packed sets that reach ``stop``.  A
+        set with no available unit can never be hit, so it returns ``stop``
+        at once."""
         sets, inc, costs, meet = self.sets, self.inc, self.costs, self.meet
         flat = self.flat
-        bound = 0
+        # what is left of stop: under flat costs, in packed sets
+        need = left = stop if flat is None else -(-stop // flat)
         while live:
-            r = sets[(live & -live).bit_length() - 1] & ~banned
+            r = sets[live.bit_length() - 1] & ~banned
             if not r:
                 return stop
-            if flat is not None:
-                bound += flat
-            else:
-                bound += min(costs[u] for u in bits_of(r))
-            if bound >= stop:
+            left -= 1 if flat else min(costs[u] for u in bits_of(r))
+            if left <= 0:
                 return stop
-            hit = meet.get(r)
-            if hit is None:
+            miss = meet.get(r)
+            if miss is None:
                 hit = 0
                 for u in bits_of(r):
                     hit |= inc[u]
-                meet[r] = hit
-            live &= ~hit
-        return bound
+                miss = meet[r] = ~hit
+            live &= miss
+        return (need - left) * (flat or 1)
 
     def optimum(self) -> int | None:
         """Unit mask of a least-cost cover, with its cost in ``upper``;
         None when some set is empty."""
-        if self.sets and self.sets[0] == 0:
+        if self.sets and self.sets[-1] == 0:
             return None
         held, self.upper = self._greedy()
         self.lower = self._pack_bound(self.all, 0, self.upper)
@@ -282,9 +288,9 @@ class _CoverSearch:
             stop = best_cost - cost
             if pack_bound(live, banned, stop) >= stop:
                 continue
-            # the pack bound has priced the lowest live set, so it has an
+            # the pack bound has priced the first live set, so it has an
             # available unit
-            avail = sets[(live & -live).bit_length() - 1] & ~banned
+            avail = sets[live.bit_length() - 1] & ~banned
             if not avail & avail - 1:  # one available unit, nothing to order
                 u = avail.bit_length() - 1
                 push((live & ~inc[u], banned, cost + costs[u],
@@ -307,7 +313,7 @@ class _CoverSearch:
                     if h & hit == hit and k <= c:
                         break  # an earlier unit replaces u
                 else:
-                    children.append((live & ~hit, banned | tried, cost + c,
+                    children.append((live ^ hit, banned | tried, cost + c,
                                      chosen | 1 << u))
                     done.append((hit, c))
                 tried |= 1 << u

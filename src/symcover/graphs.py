@@ -14,7 +14,8 @@ size of the whole before it builds any.  Vertices enter through
 ``_vertex``, vertex sets through ``_as_mask``, relabellings through
 ``_require_permutation`` and counts (orders, degrees, node budgets,
 footprint caps) through ``_count``, here and in the modules built on this
-one; every bad argument raises ``PreconditionError``.
+one; every bad argument raises ``PreconditionError``, and a bool is neither
+a vertex nor a count.
 """
 from __future__ import annotations
 
@@ -59,8 +60,9 @@ def _as_mask(vertices, n: int, what: str) -> int:
 
 def _vertex(v, n: int, what: str) -> int:
     """``v`` as a vertex of an n-vertex graph, an int in 0..n-1, or
-    PreconditionError naming ``what``: the one reader of vertices."""
-    if not hasattr(type(v), "__index__"):
+    PreconditionError naming ``what``: the one reader of vertices.  A bool
+    is a truth value, not a vertex, so it is refused like a float."""
+    if type(v) is bool or not hasattr(type(v), "__index__"):
         raise PreconditionError(f"{what} contains {v!r}, not an integer")
     if not 0 <= index(v) < n:
         raise PreconditionError(f"{what} contains vertex {v}, "
@@ -69,8 +71,11 @@ def _vertex(v, n: int, what: str) -> int:
 
 
 def _count(value, what: str) -> int:
-    """``value`` as a nonnegative int, or PreconditionError."""
-    if not hasattr(type(value), "__index__") or index(value) < 0:
+    """``value`` as a nonnegative int, or PreconditionError: the one reader
+    of counts, caps and budgets.  A bool is refused, as ``_vertex`` refuses
+    it."""
+    if (type(value) is bool or not hasattr(type(value), "__index__")
+            or index(value) < 0):
         raise PreconditionError(
             f"{what} must be a nonnegative integer, got {value!r}")
     return index(value)
@@ -90,8 +95,7 @@ class Graph:
     __slots__ = ("n", "rows", "_hash")
 
     def __init__(self, n: int, edges=()):
-        if n < 0:
-            raise PreconditionError("vertex count must be >= 0")
+        n = _count(n, "vertex count")
         rows = [0] * n
         for u, v in edges:
             u, v = _vertex(u, n, "edge"), _vertex(v, n, "edge")
@@ -219,6 +223,8 @@ def generate(text: str) -> Graph:
     ``union:complete:5+cycle:3``.  Every component of a union is checked,
     and then the size of the whole against ``_FAMILY_CAP``, before any is
     built."""
+    if not isinstance(text, str):
+        raise PreconditionError(f"family spec must be a str, got {text!r}")
     specs = _components(text)
     sizes = [_UNARY_KINDS[kind](n) for kind, n in specs]
     order, edges = map(sum, zip(*sizes))

@@ -1,4 +1,4 @@
-"""Six cover rows: value, lex-min witness and nodes of each search phase,
+"""Eight cover rows: value, lex-min witness and nodes of each search phase,
 pinned.  Prints one JSON line per row, with the seconds of each phase."""
 import json
 import sys
@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-from conftest import circulant, hypercube
+from conftest import circulant, hypercube, kneser
 from symcover.copies import footprints_of
 from symcover.covers import NODE_BUDGET, _CoverSearch
 from symcover.graphs import bits_of, generate
@@ -26,7 +26,9 @@ from symcover.graphs import bits_of, generate
 # 58739 / 80688 / 26242 from the greedy cost alone, 85757 / 291788 / 88610
 # when the bound packed whole sets, 51376 / 70634 / 38796 under the
 # fewest-available pick.  The path row chooses 1250 units, one search level
-# each, past Python's default recursion limit: the search is a loop
+# each, past Python's default recursion limit: the search is a loop.  The
+# last two rows are the stretch rows, 2,520 and 384 sets, whose masks
+# shorten from the top as the search descends
 for row, pattern, host, value, found, witnessed, witness in (
         ("C(32;1,4)", "path:4", circulant(32, (1, 4)), 15, 6659, 5970,
          (0, 1, 3, 5, 7, 10, 12, 13, 17, 18, 20, 23, 25, 27, 30)),
@@ -42,7 +44,12 @@ for row, pattern, host, value, found, witnessed, witness in (
          (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32,
           34, 36, 38)),
         ("path:2500", "path:2", generate("path:2500"), 1250, 1, 2499,
-         tuple(range(0, 2500, 2)))):
+         tuple(range(0, 2500, 2))),
+        ("Kneser(8,3)", "path:3", kneser(8, 3), 35, 145318, 18991,
+         (0, 1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 15, 16, 18, 21, 22, 23, 24,
+          26, 27, 28, 30, 31, 33, 36, 37, 38, 40, 41, 43, 46, 47, 49, 52)),
+        ("C(64;1,7)", "path:3", circulant(64, (1, 7)), 32, 270577, 236291,
+         tuple(range(0, 64, 2)))):
     masks = footprints_of(generate(pattern), host).masks
     costs = dict.fromkeys(bits_of(reduce(or_, masks, 0)), 1)
     search = _CoverSearch(masks, costs, NODE_BUDGET)

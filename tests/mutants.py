@@ -57,8 +57,8 @@ MUTANTS = (
            ("tests/test_symmetry.py::TestTwoValues",)),
     Mutant("vertex reader accepts a float",
            "symcover/graphs.py",
-           '    if not hasattr(type(v), "__index__"):\n',
-           '    if not hasattr(type(v), "__int__"):\n',
+           '    if type(v) is bool or not hasattr(type(v), "__index__"):\n',
+           '    if type(v) is bool or not hasattr(type(v), "__int__"):\n',
            ("tests/test_graphs.py::test_refusals_name_their_fault",
             "tests/test_checks.py::TestOrbitSumBound::"
             "test_vertex_of_another_type",
@@ -92,8 +92,8 @@ MUTANTS = (
            ("tests/test_copies.py",)),
     Mutant("pack bound packs sets sharing an available unit",
            "symcover/covers.py",
-           "            live &= ~hit\n",
-           "            live &= live - 1\n",
+           "            live &= miss\n",
+           "            live ^= 1 << live.bit_length() - 1\n",
            ("tests/test_covers.py::TestMinHittingSet",)),
     Mutant("orbit closure skips the last generator",
            "symcover/symmetry.py",
@@ -134,10 +134,16 @@ MUTANTS = (
            ("tests/test_covers.py::test_search_tree_is_pinned[union-costs]",)),
     Mutant("unit index numbers the sets from the wrong end",
            "symcover/covers.py",
-           "                cols[low.bit_length() - 1][-i] = 49",
-           "                cols[low.bit_length() - 1][i - 1] = 49",
+           "                cols[low.bit_length() - 1][i] = 49",
+           "                cols[low.bit_length() - 1][-1 - i] = 49",
            ("tests/test_covers.py::"
             "test_set_up_matches_the_reference_constructor",)),
+    Mutant("lowest live set read from the low end",
+           "symcover/covers.py",
+           "            avail = sets[live.bit_length() - 1] & ~banned\n",
+           "            avail = sets[(live & -live).bit_length() - 1] "
+           "& ~banned\n",
+           ("tests/test_covers.py::test_search_tree_is_pinned",)),
     Mutant("reverse delete keeps every pick",
            "symcover/covers.py",
            "            if newly & ~later:\n",
@@ -196,18 +202,17 @@ MUTANTS = (
            ("tests/test_graphs.py::TestCanonical",)),
     Mutant("count reader accepts a negative value",
            "symcover/graphs.py",
-           '    if not hasattr(type(value), "__index__") '
-           "or index(value) < 0:\n",
-           '    if not hasattr(type(value), "__index__"):\n',
+           "            or index(value) < 0):\n",
+           "            or False):\n",
            ("tests/test_covers.py::TestRepresentativity::"
             "test_negative_budget_is_a_bad_argument",
             "tests/test_copies.py::TestLimitsAndErrors::"
             "test_negative_cap_is_a_bad_argument")),
     Mutant("count reader accepts a non-integer",
            "symcover/graphs.py",
-           '    if not hasattr(type(value), "__index__") '
-           "or index(value) < 0:\n",
-           "    if index(value) < 0:\n",
+           '    if (type(value) is bool or not hasattr(type(value), '
+           '"__index__")\n',
+           "    if (type(value) is bool\n",
            ("tests/test_search.py::TestEnumeration::test_caps",
             "tests/test_copies.py::TestLimitsAndErrors::"
             "test_cap_of_another_type_is_a_bad_argument")),
@@ -308,6 +313,24 @@ MUTANTS = (
            ("tests/test_covers.py::TestRepresentativity::"
             "test_stops_word_their_bounds",
             "tests/test_cli.py::TestRepr::test_node_budget_flag")),
+    Mutant("count reader accepts a bool",
+           "symcover/graphs.py",
+           '    if (type(value) is bool or not hasattr(type(value), '
+           '"__index__")\n',
+           '    if (not hasattr(type(value), "__index__")\n',
+           ("tests/test_graphs.py::test_refusals_name_their_fault",
+            "tests/test_covers.py::TestRepresentativity::"
+            "test_budget_of_another_type_is_a_bad_argument")),
+    Mutant("vertex reader accepts a bool",
+           "symcover/graphs.py",
+           '    if type(v) is bool or not hasattr(type(v), "__index__"):\n',
+           '    if not hasattr(type(v), "__index__"):\n',
+           ("tests/test_graphs.py::test_refusals_name_their_fault",)),
+    Mutant("graph reads its vertex count unchecked",
+           "symcover/graphs.py",
+           '        n = _count(n, "vertex count")\n',
+           "        n = int(n)\n",
+           ("tests/test_graphs.py::test_refusals_name_their_fault",)),
     Mutant("vertex reader accepts vertex n",
            "symcover/graphs.py",
            "    if not 0 <= index(v) < n:\n",

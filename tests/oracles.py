@@ -164,6 +164,26 @@ def reference_cover_setup(set_masks) -> tuple[list[int], list[int]]:
     return sets, inc
 
 
+def reference_pack_bound(sets, costs, live, banned, stop) -> int:
+    """The cover search's pack bound as it read set i of the search order
+    at bit i of ``live``: pack the lowest live set, price it at the
+    cheapest of its units outside ``banned``, drop every live set meeting
+    those units, and give ``stop`` once the bound reaches it or a live set
+    has no such unit.  Units are summed set by set, with no index."""
+    bound = 0
+    while live:
+        r = sets[(live & -live).bit_length() - 1] & ~banned
+        if not r:
+            return stop
+        bound += min(costs[u] for u in range(r.bit_length()) if r >> u & 1)
+        if bound >= stop:
+            return stop
+        for i, s in enumerate(sets):
+            if s & r:
+                live &= ~(1 << i)
+    return bound
+
+
 def brute_canonical_edges(g: Graph) -> tuple[tuple[int, int], ...]:
     """Canonical edge set: the one whose column-major upper-triangle bit
     string is lexicographically smallest over all relabelings."""

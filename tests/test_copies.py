@@ -224,7 +224,7 @@ class TestLimitsAndErrors:
         with pytest.raises(ResourceLimitError, match="exceeds the cap 0"):
             footprints_of(generate("path:3"), generate("cycle:6"), cap=0)
 
-    @pytest.mark.parametrize("cap", ["5", 2.5])
+    @pytest.mark.parametrize("cap", ["5", 2.5, True])
     def test_cap_of_another_type_is_a_bad_argument(self, cap):
         # a string failed a comparison, and 2.5 ran as a cap
         with pytest.raises(PreconditionError,

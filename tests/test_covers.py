@@ -20,6 +20,7 @@ from oracles import (
     brute_min_weighted_hitting,
     brute_orbits,
     reference_cover_setup,
+    reference_pack_bound,
 )
 import symcover.covers
 from symcover.copies import (FOOTPRINT_CAP, CopyFamily, contains_copy,
@@ -224,7 +225,9 @@ class TestMinHittingSet:
             live = rng.randrange(1, 1 << len(family))
             banned = rng.randrange(1 << n)
             found = search._branch(live, banned, 4 * n + 1, first=False)
-            left = [tuple(bits_of(family[i] & ~banned)) for i in bits_of(live)]
+            # live is a mask over the search's own index
+            sets = search.sets
+            left = [tuple(bits_of(sets[i] & ~banned)) for i in bits_of(live)]
             if not all(left):
                 dead += 1
                 assert found is None
@@ -232,14 +235,14 @@ class TestMinHittingSet:
             want, _ = brute_min_weighted_hitting(
                 left, {u: costs[u] for u in range(n) if not banned >> u & 1})
             assert not found & banned
-            assert all(family[i] & found for i in bits_of(live))
+            assert all(sets[i] & found for i in bits_of(live))
             assert sum(costs[u] for u in bits_of(found)) == want
             for limit in (want - 1, want):
                 first = search._branch(live, banned, limit + 1, first=True)
                 assert (first is not None) == (limit == want)
                 if first is not None:
                     assert not first & banned
-                    assert all(family[i] & first for i in bits_of(live))
+                    assert all(sets[i] & first for i in bits_of(live))
                     assert sum(costs[u] for u in bits_of(first)) <= limit
         assert dead > 50
 
@@ -330,17 +333,96 @@ def _set_up_cases():
                                   for m in masks], False
 
 
+def _top_down(mask: int, count: int) -> int:
+    """``mask`` over ``count`` set indices with index i renamed
+    count - 1 - i: from the search order to the search's own index."""
+    return sum(1 << count - 1 - i for i in bits_of(mask))
+
+
 def test_set_up_matches_the_reference_constructor():
     # the constructor once ordered raw sets itself; now a family's masks go
     # in as they are and other sets through _search_order, and both must
-    # give the old sets and unit index
+    # give the old sets and unit index, numbered from the top
     for name, raw, family_masks in _set_up_cases():
         sets = raw if family_masks else _search_order(set(raw))
         units = reduce(or_, raw, 0)
         search = _CoverSearch(sets, dict.fromkeys(bits_of(units), 1),
                               NODE_BUDGET)
-        assert (list(search.sets), search.inc) == reference_cover_setup(
-            raw), name
+        want_sets, want_inc = reference_cover_setup(raw)
+        assert list(search.sets) == want_sets[::-1], name
+        assert search.inc == [_top_down(m, len(want_sets))
+                              for m in want_inc], name
+
+
+def test_index_numbers_the_sets_from_the_top():
+    # the first set in search order is the top bit of every mask, so a
+    # live mask shortens as its first sets are hit
+    for name, raw, family_masks in _set_up_cases():
+        sets = raw if family_masks else _search_order(set(raw))
+        units = reduce(or_, raw, 0)
+        search = _CoverSearch(sets, dict.fromkeys(bits_of(units), 1),
+                              NODE_BUDGET)
+        assert list(search.sets) == list(reversed(sets)), name
+        assert search.all.bit_length() == len(sets), name
+        for u, col in enumerate(search.inc):
+            assert list(bits_of(col)) == [
+                j for j, s in enumerate(search.sets) if s >> u & 1], (name, u)
+
+
+def test_pack_bound_matches_the_bottom_up_packing():
+    # the same value as the packing over live masks in search order, with
+    # each live mask mapped through the index; flat and weighted costs,
+    # random bans and stops below and above the bound
+    rng = random.Random(89)
+    cases = 0
+    for weighted in (False, True):
+        for name, raw, family_masks in _set_up_cases():
+            sets = raw if family_masks else _search_order(set(raw))
+            units = reduce(or_, raw, 0)
+            costs = {u: rng.randrange(1, 5) if weighted else 1
+                     for u in bits_of(units)}
+            search = _CoverSearch(sets, costs, NODE_BUDGET)
+            for _ in range(20):
+                live = rng.randrange(1 << len(sets))
+                banned = rng.choice([0, rng.randrange(2 * units + 1)])
+                stop = rng.choice([rng.randrange(-1, 8), 10**6])
+                want = reference_pack_bound(sets, costs, live, banned, stop)
+                assert search._pack_bound(_top_down(live, len(sets)), banned,
+                                          stop) == want, name
+                cases += want not in (0, stop)
+    assert cases > 500
+
+
+@pytest.mark.parametrize("pattern, host, orbit_cover", [
+    ("path:4", lambda: circulant(20, (1, 3)), False),
+    ("complete:3", lambda: kneser(7, 2), False),
+    ("tailed-star:3", lambda: circulant(21, (1, 8)), False),
+    ("path:4", lambda: generate("union:cycle:8+path:7+path:9"), True),
+    ("path:4", lambda: generate("union:cycle:9+path:7+path:9+cycle:6"),
+     True),
+], ids=["C20-1-3", "kneser-7-2", "C21-1-8", "union-costs", "union-4"])
+def test_budget_stop_reports_the_root_packing(pattern, host, orbit_cover):
+    # a stop at the second node of the optimum phase reports the root pack
+    # bound as its lower bound, below the greedy's cost
+    pattern, host = generate(pattern), host()
+    family = footprints_of(pattern, host)
+    with pytest.raises(ResourceLimitError) as stop:
+        if orbit_cover:
+            part = uncached_orbits(host)
+            min_orbit_cover(family, part, node_budget=1)
+        else:
+            min_hitting_set(family, node_budget=1)
+    if orbit_cover:
+        sets = _search_order({reduce(or_, (1 << part.orbit_of[v] for v in f))
+                              for f in family.footprints})
+        costs = {oid: om.bit_count() for oid, om in enumerate(part.masks)}
+    else:
+        sets = list(family.masks)
+        costs = dict.fromkeys(bits_of(reduce(or_, sets, 0)), 1)
+    lower, upper = stop.value.best_lower, stop.value.best_upper
+    assert lower < upper
+    assert lower == reference_pack_bound(sets, costs, (1 << len(sets)) - 1,
+                                         0, upper)
 
 
 def test_greedy_cover_hits_every_set_and_drops_every_redundant_unit():
@@ -504,7 +586,7 @@ class TestRepresentativity:
                            match="exceeded the node budget 0"):
             vertex_representativity(pattern, host, node_budget=0)
 
-    @pytest.mark.parametrize("budget", ["5", 2.5])
+    @pytest.mark.parametrize("budget", ["5", 2.5, True])
     def test_budget_of_another_type_is_a_bad_argument(self, budget):
         # a string failed a comparison, and 2.5 ran as a budget
         with pytest.raises(PreconditionError,

@@ -115,7 +115,21 @@ INPUT_REFUSALS = [
      "line 1: loop at vertex 2"),
     (lambda: parse_edge_list("n 2\n0 2"), GraphParseError,
      "vertex id 2 exceeds declared count 2"),
-    (lambda: Graph(-1), ValueError, "vertex count must be >= 0"),
+    (lambda: Graph(-1), ValueError,
+     "vertex count must be a nonnegative integer, got -1"),
+    (lambda: Graph(2.5), PreconditionError,
+     "vertex count must be a nonnegative integer, got 2.5"),
+    (lambda: Graph("3"), PreconditionError,
+     "vertex count must be a nonnegative integer, got '3'"),
+    (lambda: generate(5), PreconditionError,
+     "family spec must be a str, got 5"),
+    # a bool is a truth value, so it is neither a vertex nor a count
+    (lambda: Graph(True), PreconditionError,
+     "vertex count must be a nonnegative integer, got True"),
+    (lambda: Graph(3, [(True, 2)]), PreconditionError,
+     "edge contains True, not an integer"),
+    (lambda: induced_subgraph(Graph(4), [False]), PreconditionError,
+     "vertex set contains False, not an integer"),
     (lambda: Graph(3, [(1, 1)]), ValueError, "loop at vertex 1"),
     (lambda: Graph(3).relabel((0, 0, 1)), ValueError,
      "relabeling must be a permutation of 0..n-1"),
