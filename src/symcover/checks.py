@@ -21,8 +21,9 @@ from .covers import symmetric_vertex_representativity, vertex_representativity
 from .errors import (NotAHittingSetError, PreconditionError,
                      ResourceLimitError, VerificationError,
                      WeightConstructionError)
-from .graphs import (Graph, _as_mask, _require_permutation, bits_of,
-                     has_pendant_vertex, is_connected, is_regular)
+from .graphs import (Graph, _as_mask, _count, _require_permutation,
+                     _vertex, bits_of, has_pendant_vertex, is_connected,
+                     is_regular)
 from .report import _rational, rat
 from .symmetry import _chain, _refined, automorphisms, orbits
 
@@ -135,7 +136,7 @@ def verify_orbit_sum_bound(pattern: Graph, host: Graph, marked,
     sums = {num: Fraction(num, denom) for _, num in rows}
     least = min(sums, default=None)
     return OrbitSumReport(
-        marked=tuple(sorted(set(marked))),
+        marked=tuple(bits_of(x_mask)),
         per_footprint=tuple((fp, sums[num]) for fp, num in rows),
         minimum=None if least is None else sums[least],
         tight_footprints=tuple(fp for fp, num in rows if num == denom),
@@ -261,8 +262,9 @@ def check_orbit_density(pattern: Graph, host: Graph, marked=None,
     family = footprints_of(pattern, host, cap=cap)
     report = extremality_report(pattern, host, cap, node_budget)
     plain = report.plain
-    x = tuple(plain.witness if marked is None else sorted(set(marked)))
-    x_mask = _as_mask(x, host.n, "marked set")
+    x_mask = _as_mask(plain.witness if marked is None else marked, host.n,
+                      "marked set")
+    x = plain.witness if marked is None else tuple(bits_of(x_mask))
     if marked is not None:
         _require_hit(family.masks, x_mask)
         if len(x) != plain.value:
@@ -448,11 +450,9 @@ class OrbitExpansionReport:
 
 def verify_orbit_expansion(host: Graph, orbit_a, orbit_b,
                            source) -> OrbitExpansionReport:
+    a_mask = _as_mask(orbit_a, host.n, "orbit_a")
+    b_mask = _as_mask(orbit_b, host.n, "orbit_b")
     masks = orbits(host).masks
-    # a vertex outside the host gives the mask 0, which is no orbit
-    a_mask, b_mask = (
-        sum(1 << v for v in vs) if all(0 <= v < host.n for v in vs) else 0
-        for vs in (set(orbit_a), set(orbit_b)))
     if a_mask not in masks or b_mask not in masks:
         raise PreconditionError("orbit_a and orbit_b must each be exactly "
                                 "one orbit of the host")
@@ -511,6 +511,7 @@ class WeightFunction:
         self.entries = tuple(items)
 
     def value(self, v: int) -> Fraction:
+        v = _vertex(v, self.graph.n, "vertex query")
         for u, w in self.entries:
             if u == v:
                 return w
@@ -623,12 +624,12 @@ class WeightSystemReport:
 def verify_weighted_system(marked, functions) -> WeightSystemReport:
     """Raises PreconditionError when a marked vertex lies outside the graph
     of a function, rather than reporting weight 0 for it."""
-    marked = sorted(set(marked))
+    marked = tuple(marked)
     sums = []
     first = None
     for idx, fn in enumerate(functions):
-        _as_mask(marked, fn.graph.n, "marked set")
-        total = sum((fn.value(v) for v in marked), Fraction(0))
+        x_mask = _as_mask(marked, fn.graph.n, "marked set")
+        total = sum((fn.value(v) for v in bits_of(x_mask)), Fraction(0))
         sums.append(total)
         if total < 1 and first is None:
             first = idx
@@ -645,8 +646,9 @@ def build_pair_weight(host: Graph, v: int, w: int, d: int) -> WeightFunction:
     elsewhere.  The total is exactly d+1.  Raises WeightConstructionError
     when a private side is too small to fill its half-weight slots.
     """
-    n = host.n
-    if not (0 <= v < n and 0 <= w < n) or v == w:
+    v, w = _vertex(v, host.n, "pair"), _vertex(w, host.n, "pair")
+    d = _count(d, "tail parameter")
+    if v == w:
         raise PreconditionError("v and w must be two distinct vertices")
     if not host.has_edge(v, w):
         raise PreconditionError("v and w must be adjacent")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -79,14 +78,6 @@ def _parse_degree_range(text: str) -> list[int]:
     lo, hi = (_int(part, f"degree range {text!r} must be lo..hi")
               for part in text.split("..", 1))
     return list(range(lo, hi + 1))
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    return _int(raw, f"environment variable {name} must be an integer, "
-                     f"got {raw!r}")
 
 
 # -- subcommand handlers; each returns (doc, exit_code) ----------------------
@@ -236,12 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit the structured document as JSON")
     # for the subcommands that enumerate footprints or search covers
     bounded = argparse.ArgumentParser(add_help=False, parents=[common])
-    bounded.add_argument("--node-budget", type=int, default=None,
-                         help="cover search node budget "
-                              "(default from SYMCOVER_NODE_BUDGET)")
-    bounded.add_argument("--footprint-cap", type=int, default=None,
+    bounded.add_argument("--node-budget", type=int, default=NODE_BUDGET,
+                         help="cover search node budget (default %(default)s)")
+    bounded.add_argument("--footprint-cap", type=int, default=FOOTPRINT_CAP,
                          help="footprint enumeration cap "
-                              "(default from SYMCOVER_FOOTPRINT_CAP)")
+                              "(default %(default)s)")
     # for the subcommands that take a pattern in a host
     pattern_host = argparse.ArgumentParser(add_help=False, parents=[bounded])
     pattern_host.add_argument("--pattern", required=True)
@@ -355,12 +345,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code
     try:
-        # None only on a subcommand that takes the flag and was not given it
-        if getattr(args, "node_budget", 0) is None:
-            args.node_budget = _env_int("SYMCOVER_NODE_BUDGET", NODE_BUDGET)
-        if getattr(args, "footprint_cap", 0) is None:
-            args.footprint_cap = _env_int("SYMCOVER_FOOTPRINT_CAP",
-                                          FOOTPRINT_CAP)
         # graphs load before the handler reads any other argument, so a
         # malformed graph is the error reported
         for name in ("graph", "pattern", "host"):

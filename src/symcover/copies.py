@@ -38,6 +38,7 @@ class CopyFamily:
     masks: tuple[int, ...]
 
     def __post_init__(self):
+        _count(self.pattern_order, "pattern order")
         # starting from -1 refuses a negative mask too
         for prev, m in zip((-1, *self.masks), self.masks):
             if m <= prev or m.bit_count() != self.pattern_order:
@@ -177,7 +178,7 @@ def _run_matcher(pattern: Graph, host: Graph, *, first_only: bool,
     # host vertices eligible per pattern vertex, by degree
     elig = []
     for u in order:
-        need = pattern.degree(u)
+        need = pattern.rows[u].bit_count()
         m = 0
         for x in range(host.n):
             if hrows[x].bit_count() >= need:
@@ -207,15 +208,16 @@ def enumerate_footprints(pattern: Graph, host: Graph,
     return CopyFamily(pattern_order=pattern.n, masks=tuple(sorted(masks)))
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=8192, typed=True)
 def _footprints_cached(pattern: Graph, host: Graph, cap: int) -> CopyFamily:
     return enumerate_footprints(pattern, host, cap)
 
 
 def footprints_of(pattern: Graph, host: Graph,
                   cap: int = FOOTPRINT_CAP) -> CopyFamily:
-    """Cached enumerate_footprints.  The cache is keyed positionally, so
-    calls that leave ``cap`` out and calls that pass it share one entry."""
+    """Cached enumerate_footprints, keyed by position and type: a call that
+    leaves ``cap`` out shares the entry of one that passes it, and a cap of
+    ``10.0`` finds no entry of ``10``, so the reader refuses it."""
     return _footprints_cached(pattern, host, cap)
 
 

@@ -379,11 +379,12 @@ def min_hitting_set(family: CopyFamily, n: int | None = None,
     """Smallest vertex set meeting every footprint of the family.  With
     ``n``, a footprint vertex outside 0..n-1 is a ``PreconditionError``."""
     masks = family.masks
+    units = reduce(or_, masks, 0)
     # the masks ascend, so the last one holds the highest vertex
-    if n is not None and masks and masks[-1] >> n:
+    if n is not None and units >> _count(n, "vertex count"):
         raise PreconditionError(
             f"footprint {tuple(bits_of(masks[-1]))} outside 0..{n - 1}")
-    costs = dict.fromkeys(bits_of(reduce(or_, masks, 0)), 1)
+    costs = dict.fromkeys(bits_of(units), 1)
     value, witness_mask, nodes = _solve_cover(masks, costs, node_budget)
     return CoverSolution(value=value, witness=tuple(bits_of(witness_mask)),
                          nodes_explored=nodes)
@@ -408,6 +409,7 @@ def symmetric_vertex_representativity(
     """
     family = footprints_of(pattern, host, cap=cap)
     if not family.masks:
+        _count(node_budget, "node budget")  # read, though no search runs
         return CoverSolution(value=0, witness=(), nodes_explored=0,
                              orbit_ids=())
     return min_orbit_cover(family, orbits(host), node_budget)
@@ -470,8 +472,7 @@ def extremality_report(pattern: Graph, host: Graph,
                        cap: int = FOOTPRINT_CAP,
                        node_budget: int = NODE_BUDGET) -> ExtremalityReport:
     """Both covers and the extremality verdict, solved once: checks and
-    scans read this memoized report.  The cache is keyed positionally, so
-    calls that leave defaults out share an entry with calls that pass them.
+    scans read this memoized report, cached as ``footprints_of`` is.
 
     When the plain witness is a union of orbits, as on a host with a
     trivial automorphism group, it is the invariant witness too: the
@@ -484,7 +485,7 @@ def extremality_report(pattern: Graph, host: Graph,
     return _extremality_cached(pattern, host, cap, node_budget)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def _extremality_cached(pattern: Graph, host: Graph, cap: int,
                         node_budget: int) -> ExtremalityReport:
     plain = vertex_representativity(pattern, host, cap, node_budget)

@@ -82,9 +82,11 @@ def _count(value, what: str) -> int:
 
 
 def _require_permutation(perm, n: int) -> None:
-    """Refuse a relabelling that is not a permutation of 0..n-1."""
-    if sorted(perm) != list(range(n)):
-        raise PreconditionError("relabeling must be a permutation of 0..n-1")
+    """Refuse a relabelling that is not a permutation of 0..n-1: n entries,
+    each read as a vertex, that meet every vertex."""
+    what = "relabeling must be a permutation of 0..n-1"
+    if _as_mask(perm, n, f"{what}; it") != (1 << n) - 1 or len(perm) != n:
+        raise PreconditionError(what)
 
 
 class Graph:
@@ -120,13 +122,14 @@ class Graph:
     # -- basic queries -----------------------------------------------------
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits_of(self.rows[v]))
+        return tuple(bits_of(self.rows[_vertex(v, self.n, "vertex query")]))
 
     def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
+        return self.rows[_vertex(v, self.n, "vertex query")].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
+        return bool(self.rows[_vertex(u, self.n, "edge")]
+                    >> _vertex(v, self.n, "edge") & 1)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         out = []
@@ -437,12 +440,10 @@ def has_pendant_vertex(g: Graph) -> bool:
 
 
 def is_regular(g: Graph, k: int | None = None) -> bool:
-    if g.n == 0:
-        return True
     degs = {r.bit_count() for r in g.rows}
-    if len(degs) != 1:
-        return False
-    return k is None or degs == {k}
+    if k is None:
+        return len(degs) <= 1
+    return degs <= {_count(k, "degree")}
 
 
 # -- canonical labeling --------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionError
+from .graphs import _count
 
 __all__ = ["rat", "render_human"]
 
@@ -27,7 +28,7 @@ def _rational(value) -> Fraction:
 def rat(x) -> int | str:
     """Render an exact number: int stays int, a non-integral Fraction
     becomes the reduced string 'p/q'."""
-    f = Fraction(x)
+    f = _rational(x)
     if f.denominator == 1:
         return int(f)
     return f"{f.numerator}/{f.denominator}"
@@ -36,7 +37,7 @@ def rat(x) -> int | str:
 def render_human(doc, indent: int = 0) -> str:
     """Readable rendering of a report document; purely a view of the same
     data the JSON output carries."""
-    pad = "  " * indent
+    pad = "  " * _count(indent, "indent")
     lines: list[str] = []
     if isinstance(doc, dict):
         for key, value in doc.items():

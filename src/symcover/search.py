@@ -105,22 +105,24 @@ class SearchReport:
         }
 
 
-def _require_cap(n: int, cap: int, kind: str) -> None:
+def _require_cap(n, cap: int, kind: str) -> int:
+    """``n`` read as a vertex count, refused past ``cap``."""
+    n = _count(n, "vertex count")
     if n > cap:
         raise ResourceLimitError(
             f"{kind} enumeration capped at {cap} vertices", limit=cap)
+    return n
 
 
 def enum_graphs(n: int, connected_only: bool = False,
                 regular_k: int | None = None) -> tuple[Graph, ...]:
     """Canonical representatives of the graphs on n vertices, optionally
     restricted to connected or k-regular ones, in graph6 order."""
-    n = _count(n, "vertex count")
     if regular_k is not None:
-        _require_cap(n, REGULAR_CAP, "regular")
+        n = _require_cap(n, REGULAR_CAP, "regular")
         pool = _regular_graphs(n, _count(regular_k, "regular degree"))
     else:
-        _require_cap(n, UNCONSTRAINED_CAP, "unconstrained")
+        n = _require_cap(n, UNCONSTRAINED_CAP, "unconstrained")
         pool = _all_graphs(n)
     if connected_only:
         pool = tuple(g for g in pool if is_connected(g))
@@ -327,12 +329,10 @@ def find_dense_counterexample(n_max: int, k_range) -> SearchReport:
     for one whose every neighborhood deficiency p satisfies 1 <= p < k/2.
     No graph passes; the counterexample list is expected empty.  An empty
     k_range is refused, since it would scan nothing."""
-    ks = sorted(set(k_range))
+    ks = sorted({_count(k, "degree") for k in k_range})
     if not ks:
         raise PreconditionError("the degree range is empty")
-    if any(k < 0 for k in ks):
-        raise PreconditionError("degrees must be nonnegative")
-    _require_cap(n_max, REGULAR_CAP, "regular")
+    n_max = _require_cap(n_max, REGULAR_CAP, "regular")
 
     def verdict_of(g, g6):
         if not neighborhood_profile(g).hypothesis_met:
@@ -360,9 +360,12 @@ def classify_vt_extremal(d: int, n_max: int, cap: int = FOOTPRINT_CAP,
     (d+2) times the plain cover, both positive.  ``cap`` and
     ``node_budget`` bound each host's footprint enumeration and cover
     searches, re-verification included."""
+    d = _count(d, "tail parameter")
     if d < 3:
         raise PreconditionError("tail parameter must be at least 3")
-    _require_cap(n_max, REGULAR_CAP, "regular")
+    n_max = _require_cap(n_max, REGULAR_CAP, "regular")
+    cap, node_budget = (_count(cap, "footprint cap"),
+                        _count(node_budget, "node budget"))
     pattern = generate(f"tailed-star:{d}")
     hosts = (g for n in range(d + 2, n_max + 1) for k in range(1, n)
              for g in _regular_graphs(n, k)
@@ -385,9 +388,12 @@ def scan_connected_extremal(d: int = 3, n_max: int = 7,
     flag those with a plain cover above 1 as ``extremal-wide``.  The flag
     list is expected empty.  ``cap`` and ``node_budget`` bound each host
     as in ``classify_vt_extremal``."""
+    d = _count(d, "tail parameter")
     if d < 1:
         raise PreconditionError("tail parameter must be positive")
-    _require_cap(n_max, UNCONSTRAINED_CAP, "unconstrained")
+    n_max = _require_cap(n_max, UNCONSTRAINED_CAP, "unconstrained")
+    cap, node_budget = (_count(cap, "footprint cap"),
+                        _count(node_budget, "node budget"))
     pattern = generate(f"tailed-star:{d}")
 
     def verdict_of(g, g6):

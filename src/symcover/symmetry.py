@@ -126,7 +126,7 @@ def _symmetry(g: Graph, whole: bool) -> OrbitPartition:
         raise ResourceLimitError(
             f"automorphism engine supports at most {VERTEX_CAP} vertices, "
             f"got {g.n}", limit=VERTEX_CAP)
-    colors = _refined(g, [g.degree(v) for v in range(g.n)])
+    colors = _refined(g, [row.bit_count() for row in g.rows])
     cells = _cells(colors).values()
     order = 1
     generators = []

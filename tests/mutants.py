@@ -326,6 +326,34 @@ MUTANTS = (
            '    if type(v) is bool or not hasattr(type(v), "__index__"):\n',
            '    if not hasattr(type(v), "__index__"):\n',
            ("tests/test_graphs.py::test_refusals_name_their_fault",)),
+    Mutant("count reader accepts a float",
+           "symcover/graphs.py",
+           '    if (type(value) is bool or not hasattr(type(value), '
+           '"__index__")\n',
+           "    if isinstance(value, float) and value >= 0:\n"
+           "        return int(value)\n"
+           '    if (type(value) is bool or not hasattr(type(value), '
+           '"__index__")\n',
+           ("tests/test_contract.py::test_every_call_returns_or_refuses",)),
+    Mutant("vertex reader accepts a str",
+           "symcover/graphs.py",
+           '    if type(v) is bool or not hasattr(type(v), "__index__"):\n',
+           "    if isinstance(v, str):\n"
+           "        v = int(v)\n"
+           '    if type(v) is bool or not hasattr(type(v), "__index__"):\n',
+           ("tests/test_contract.py::test_every_call_returns_or_refuses",)),
+    Mutant("footprint cache keys a float cap like an int",
+           "symcover/copies.py",
+           "@lru_cache(maxsize=8192, typed=True)\n",
+           "@lru_cache(maxsize=8192)\n",
+           ("tests/test_contract.py::"
+            "test_a_cached_call_refuses_what_a_fresh_call_refuses",)),
+    Mutant("report cache keys a float budget like an int",
+           "symcover/covers.py",
+           "@lru_cache(maxsize=4096, typed=True)\n",
+           "@lru_cache(maxsize=4096)\n",
+           ("tests/test_contract.py::"
+            "test_a_cached_call_refuses_what_a_fresh_call_refuses",)),
     Mutant("graph reads its vertex count unchecked",
            "symcover/graphs.py",
            '        n = _count(n, "vertex count")\n',

@@ -4,6 +4,7 @@ containment, neighborhood profiles, expansion, and weight systems."""
 from __future__ import annotations
 
 import random
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -389,7 +390,12 @@ class TestOrbitExpansion:
 
     @pytest.mark.parametrize("orbit_a", [(0, 4), (-1, 3), (4,), ()])
     def test_rejects_vertices_outside_the_host(self, orbit_a):
-        with pytest.raises(PreconditionError, match="exactly one orbit"):
+        # the vertex reader words a vertex outside the host; no vertex at
+        # all is no orbit
+        outside = [v for v in orbit_a if not 0 <= v < 4]
+        message = (f"orbit_a contains vertex {outside[0]}, outside 0..3"
+                   if outside else "exactly one orbit")
+        with pytest.raises(PreconditionError, match=re.escape(message)):
             verify_orbit_expansion(generate("path:4"), orbit_a, (1, 2), (0,))
 
     def test_rejects_source_outside_orbit(self):

@@ -196,26 +196,6 @@ class TestRepr:
         assert doc["automorphism_order"] == 6227020800
         assert doc["orbits"] == [list(range(13))]
 
-    def test_node_budget_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYMCOVER_NODE_BUDGET", "5")
-        code, out, err = run(capsys, "repr", "--pattern", "complete:3",
-                             "--host", "complete:9")
-        assert code == 2
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYMCOVER_NODE_BUDGET", "5")
-        code, doc = run_json(capsys, "repr", "--pattern", "complete:3",
-                             "--host", "complete:9",
-                             "--node-budget", str(10**8))
-        assert code == 0
-        assert doc["vertex_representativity"] == 7
-
-    def test_bad_env_value_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYMCOVER_NODE_BUDGET", "plenty")
-        code, out, err = run(capsys, "repr", "--pattern", "complete:3",
-                             "--host", "complete:4")
-        assert code == 2
-
 
 class TestChecks:
     def test_orbit_sum_with_computed_minimum(self, capsys):
@@ -383,19 +363,13 @@ class TestSearches:
                 if key != "elapsed_s" and (key != "records" or not count)}
         assert lines[count:] == render_human(rest).splitlines()
 
-    @pytest.mark.parametrize("flag, variable, says", [
-        ("--node-budget", "SYMCOVER_NODE_BUDGET", "node budget"),
-        ("--footprint-cap", "SYMCOVER_FOOTPRINT_CAP", "exceeds the cap")])
-    def test_cover_scans_honour_the_bounds(self, capsys, monkeypatch, flag,
-                                           variable, says):
+    @pytest.mark.parametrize("flag, says", [
+        ("--node-budget", "node budget"),
+        ("--footprint-cap", "exceeds the cap")])
+    def test_cover_scans_honour_the_bounds(self, capsys, flag, says):
         for scan in ("vt-extremal", "connected-extremal"):
             argv = ["search", scan, "--tail", "3", "--max-n", "6"]
             code, out, err = run(capsys, *argv, flag, "1")
-            assert code == 2 and err.startswith("error:"), scan
-            assert says in err, scan
-            monkeypatch.setenv(variable, "1")
-            code, out, err = run(capsys, *argv)
-            monkeypatch.delenv(variable)
             assert code == 2 and err.startswith("error:"), scan
             assert says in err, scan
 
@@ -468,11 +442,3 @@ class TestBoundsWhereRead:
         for flag in ("--node-budget", "--footprint-cap"):
             code, out, err = run(capsys, *argv, flag, "1")
             assert code == 2 and "unrecognized arguments" in err, flag
-
-    def test_bad_env_values_ignored_where_unread(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYMCOVER_NODE_BUDGET", "plenty")
-        monkeypatch.setenv("SYMCOVER_FOOTPRINT_CAP", "plenty")
-        for argv in (("gen", "complete:5"), ("info", "complete:5"),
-                     ("search", "dense", "--max-n", "6")):
-            code, out, err = run(capsys, *argv)
-            assert code == 0 and err == "", argv

@@ -27,6 +27,24 @@ def test_no_bare_assert():
     assert found == []
 
 
+def test_no_environment_reads():
+    # every setting is an argument or a flag; a value read from the
+    # environment would change a call that does not show it
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & {"environ", "getenv"}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_only_bounded_functions_call_themselves():
     # every search is a loop, so no answer depends on the interpreter's
     # stack.  These recurse to depths their inputs bound: one level of
