@@ -623,7 +623,9 @@ class WeightSystemReport:
 
 def verify_weighted_system(marked, functions) -> WeightSystemReport:
     """Raises PreconditionError when a marked vertex lies outside the graph
-    of a function, rather than reporting weight 0 for it."""
+    of a function, rather than reporting weight 0 for it.  With no
+    function there is no graph to bound the marked set, so its members are
+    read as nonnegative integers alone."""
     marked = tuple(marked)
     sums = []
     first = None
@@ -633,6 +635,9 @@ def verify_weighted_system(marked, functions) -> WeightSystemReport:
         sums.append(total)
         if total < 1 and first is None:
             first = idx
+    if not sums:
+        for v in marked:
+            _count(v, "marked vertex")
     return WeightSystemReport(sums=tuple(sums), holds=first is None,
                               first_violator=first)
 

@@ -15,6 +15,18 @@ no greater cost.  The witness comes from a scan over units in
 ascending order that searches only outside the optimal cover it holds, so
 the branch order shapes the tree but moves no witness.
 
+``vertex_representativity`` starts its optimum search at a node that has
+chosen one vertex, when the host's orbits allow it (``_fixed_vertex``):
+the lowest vertex o of the first footprint, in ascending mask order, that
+lies inside one orbit.  Every cover meets that footprint, so it meets the
+orbit, and an automorphism maps the vertex it meets onto o and the cover
+onto a cover of equal size through o.  The value is that of a search from
+the root; the lex-min witness pass reads no group and finds the same
+witness.  Only ``nodes_explored`` differs from ``min_hitting_set``'s, which
+reads no group, on such hosts.  The orbits come from automorphisms that
+``copies._embed`` checks edge by edge; had the chain missed one, its
+orbits would be finer, never coarser, so the rule could only not fire.
+
 ``extremality_report`` solves the invariant cover only when the plain
 witness is not a union of orbits.  Every union of orbits meeting all the
 footprints is a plain cover too, so the invariant optimum is at least the
@@ -42,7 +54,7 @@ from .errors import (PreconditionError, ResourceLimitError,
                      VerificationError)
 from .graphs import Graph, _count, bits_of
 from .report import rat
-from .symmetry import OrbitPartition, orbits
+from .symmetry import OrbitPartition, VERTEX_CAP, orbits
 
 __all__ = [
     "CoverSolution",
@@ -248,20 +260,27 @@ class _CoverSearch:
             live &= miss
         return (need - left) * (flat or 1)
 
-    def optimum(self) -> int | None:
+    def optimum(self, fixed: int | None = None) -> int | None:
         """Unit mask of a least-cost cover, with its cost in ``upper``;
-        None when some set is empty."""
+        None when some set is empty.  With ``fixed`` a unit that some
+        least-cost cover holds, the search starts at the node that has
+        chosen it and looks only at the covers through it."""
         if self.sets and self.sets[-1] == 0:
             return None
         held, self.upper = self._greedy()
         self.lower = self._pack_bound(self.all, 0, self.upper)
-        found = self._branch(self.all, 0, self.upper, first=False)
+        live, cost, chosen = self.all, 0, 0
+        if fixed is not None:
+            live, cost, chosen = (live ^ self.inc[fixed], self.costs[fixed],
+                                  1 << fixed)
+        found = self._branch(live, 0, self.upper, False, cost, chosen)
         return held if found is None else found
 
-    def _branch(self, live, banned, incumbent, first):
+    def _branch(self, live, banned, incumbent, first, cost=0, chosen=0):
         """Unit mask of the cheapest cover below ``incumbent`` of the live
-        sets by units not banned, or None when there is none.  With
-        ``first`` set, return the first such cover found.
+        sets by units not banned, added to the ``chosen`` units of the
+        given ``cost``, or None when there is none.  With ``first`` set,
+        return the first such cover found.
 
         A depth-first loop over a stack of nodes ``(live, banned, cost,
         chosen)``.  A node's children and their bans depend only on the
@@ -271,7 +290,7 @@ class _CoverSearch:
         pack_bound, budget = self._pack_bound, self.budget
         best_cost, best = incumbent, None
         nodes = self.nodes
-        stack = [(live, banned, 0, 0)]
+        stack = [(live, banned, cost, chosen)]
         pop, push = stack.pop, stack.append
         while stack:
             live, banned, cost, chosen = pop()
@@ -364,9 +383,9 @@ def _search_order(sets):
     return kept
 
 
-def _solve_cover(sets, costs, budget):
+def _solve_cover(sets, costs, budget, fixed=None):
     search = _CoverSearch(sets, costs, budget)
-    cover = search.optimum()
+    cover = search.optimum(fixed)
     if cover is None:
         raise PreconditionError(
             "infeasible cover: some set has no available unit")
@@ -379,13 +398,16 @@ def min_hitting_set(family: CopyFamily, n: int | None = None,
     """Smallest vertex set meeting every footprint of the family.  With
     ``n``, a footprint vertex outside 0..n-1 is a ``PreconditionError``."""
     masks = family.masks
-    units = reduce(or_, masks, 0)
     # the masks ascend, so the last one holds the highest vertex
-    if n is not None and units >> _count(n, "vertex count"):
+    if n is not None and reduce(or_, masks, 0) >> _count(n, "vertex count"):
         raise PreconditionError(
             f"footprint {tuple(bits_of(masks[-1]))} outside 0..{n - 1}")
-    costs = dict.fromkeys(bits_of(units), 1)
-    value, witness_mask, nodes = _solve_cover(masks, costs, node_budget)
+    return _hitting_set(masks, None, node_budget)
+
+
+def _hitting_set(masks, fixed, budget) -> CoverSolution:
+    costs = dict.fromkeys(bits_of(reduce(or_, masks, 0)), 1)
+    value, witness_mask, nodes = _solve_cover(masks, costs, budget, fixed)
     return CoverSolution(value=value, witness=tuple(bits_of(witness_mask)),
                          nodes_explored=nodes)
 
@@ -393,9 +415,32 @@ def min_hitting_set(family: CopyFamily, n: int | None = None,
 def vertex_representativity(pattern: Graph, host: Graph,
                             cap: int = FOOTPRINT_CAP,
                             node_budget: int = NODE_BUDGET) -> CoverSolution:
+    """``min_hitting_set`` of the copy footprints, with the optimum search
+    started at the lowest vertex of the first footprint inside one orbit
+    of the host, when there is one (``_fixed_vertex``).  Value and witness
+    are ``min_hitting_set``'s; ``nodes_explored`` may be fewer."""
     # the matcher only yields host vertices, so the range check is skipped
-    family = footprints_of(pattern, host, cap=cap)
-    return min_hitting_set(family, node_budget=node_budget)
+    masks = footprints_of(pattern, host, cap=cap).masks
+    return _hitting_set(masks, _fixed_vertex(masks, host), node_budget)
+
+
+def _fixed_vertex(masks, host: Graph) -> int | None:
+    """The lowest vertex of the first footprint, in ascending mask order,
+    that lies inside one orbit of the host, or None; some optimal cover
+    holds it.  The host's cached orbits are read only for a nonempty
+    family within the automorphism engine's vertex cap."""
+    if not masks or host.n > VERTEX_CAP:
+        return None
+    part = orbits(host)
+    # every footprint has the pattern's order: skip the scan when no orbit
+    # is that large, as under a trivial group
+    if max(om.bit_count() for om in part.masks) < masks[0].bit_count():
+        return None
+    for m in masks:
+        o = (m & -m).bit_length() - 1
+        if not m & ~part.masks[part.orbit_of[o]]:
+            return o
+    return None
 
 
 def symmetric_vertex_representativity(

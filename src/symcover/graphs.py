@@ -81,6 +81,14 @@ def _count(value, what: str) -> int:
     return index(value)
 
 
+def _text(text, what: str) -> str:
+    """``text`` as a str, or PreconditionError naming ``what``: the one
+    reader of the texts that name or encode a graph."""
+    if not isinstance(text, str):
+        raise PreconditionError(f"{what} must be a str, got {text!r}")
+    return text
+
+
 def _require_permutation(perm, n: int) -> None:
     """Refuse a relabelling that is not a permutation of 0..n-1: n entries,
     each read as a vertex, that meet every vertex."""
@@ -226,9 +234,7 @@ def generate(text: str) -> Graph:
     ``union:complete:5+cycle:3``.  Every component of a union is checked,
     and then the size of the whole against ``_FAMILY_CAP``, before any is
     built."""
-    if not isinstance(text, str):
-        raise PreconditionError(f"family spec must be a str, got {text!r}")
-    specs = _components(text)
+    specs = _components(_text(text, "family spec"))
     sizes = [_UNARY_KINDS[kind](n) for kind, n in specs]
     order, edges = map(sum, zip(*sizes))
     if edges + order * order // 64 > _FAMILY_CAP:
@@ -324,7 +330,7 @@ def parse_graph6(text: str) -> Graph:
     Raises GraphParseError with a byte offset for malformed input, including
     wrong body length and nonzero padding bits.
     """
-    if text.startswith(">>graph6<<"):
+    if _text(text, "graph6 text").startswith(">>graph6<<"):
         text = text[len(">>graph6<<"):]
     text = text.rstrip("\n")
     if not text:
@@ -377,7 +383,7 @@ def parse_edge_list(text: str) -> Graph:
     declared = None
     edges = []
     max_seen = -1
-    lines = text.splitlines()
+    lines = _text(text, "edge list").splitlines()
     first = True
     for lineno, line in enumerate(lines, start=1):
         toks = line.split()

@@ -158,10 +158,26 @@ MUTANTS = (
             "test_greedy_cover_hits_every_set_and_drops_every_redundant_unit",)),
     Mutant("optimum starts one above the greedy",
            "symcover/covers.py",
-           "        found = self._branch(self.all, 0, self.upper, first=False)\n",
-           "        found = self._branch(self.all, 0, self.upper + 1, "
-           "first=False)\n",
+           "        found = self._branch(live, 0, self.upper, False, cost, "
+           "chosen)\n",
+           "        found = self._branch(live, 0, self.upper + 1, False, cost, "
+           "chosen)\n",
            ("tests/test_covers.py::test_search_tree_is_pinned",)),
+    Mutant("fixed vertex read from a footprint spanning two orbits",
+           "symcover/covers.py",
+           "        if not m & ~part.masks[part.orbit_of[o]]:\n",
+           "        if m & part.masks[part.orbit_of[o]]:\n",
+           ("tests/test_covers.py::TestFixedVertex::"
+            "test_fires_only_on_a_footprint_inside_one_orbit",)),
+    Mutant("fixed vertex's cost left out of the start node",
+           "symcover/covers.py",
+           "            live, cost, chosen = (live ^ self.inc[fixed], "
+           "self.costs[fixed],\n",
+           "            live, cost, chosen = (live ^ self.inc[fixed], 0,\n",
+           ("tests/test_covers.py::TestFixedVertex::"
+            "test_budget_stops_bracket_the_optimum",
+            "tests/test_covers.py::"
+            "test_fixed_start_keeps_the_optimum_and_its_cost")),
     Mutant("dominance ignores cost",
            "symcover/covers.py",
            "                    if h & hit == hit and k <= c:\n",

@@ -618,6 +618,15 @@ class TestWeightedSystem:
         report = verify_weighted_system((0,), ())
         assert report.holds
 
+    @pytest.mark.parametrize("marked", [["a", 0.5], [-1], [True]])
+    def test_empty_family_refuses_what_a_nonempty_one_refuses(self, marked):
+        # with no graph to bound it, the marked set is read all the same:
+        # only the range goes unchecked
+        fn = WeightFunction(generate("path:3"), {0: 1})
+        for functions in ((fn,), ()):
+            with pytest.raises(PreconditionError, match="marked"):
+                verify_weighted_system(marked, functions)
+
 
 class TestBuildPairWeight:
     def test_layout_with_surplus_common_neighbors(self):

@@ -12,8 +12,8 @@ past a cap, no copy of the pattern).  A public name whose parameter has
 no row fails its test, so a new public name brings its row.
 
 Out of scope: a value that is not a ``Graph`` where a graph goes, not a
-str where a text goes, not a ``WeightFunction`` where a weight function
-goes, and ``CopyFamily`` masks that are not ints; the rows draw none.
+``WeightFunction`` where a weight function goes, and ``CopyFamily`` masks
+that are not ints; the rows draw none.
 Two kinds of public callable read no argument and are not called:
 exception types, and result records, the frozen dataclasses that define
 no ``__post_init__``.
@@ -117,10 +117,12 @@ def _families():
 
 
 FAMILY = good(st.sampled_from(_families()))
-TEXT = good(st.sampled_from(
-    [*SPECS, *GRAPH6, "n 3\n0 1\n1 2\n", "0 1\n", ">>graph6<<Bw",
-     "complete:100000", "wheel:5", "union:path:2", "cocktail:5", "", "~",
-     "0 x", "n -1", "complete:0"]))
+TEXT = st.one_of(
+    good(st.sampled_from(
+        [*SPECS, *GRAPH6, "n 3\n0 1\n1 2\n", "0 1\n", ">>graph6<<Bw",
+         "complete:100000", "wheel:5", "union:path:2", "cocktail:5", "",
+         "~", "0 x", "n -1", "complete:0"])),
+    bad(st.sampled_from([5, None, b"@", ["path:3"]])))
 JSON = st.recursive(
     st.one_of(st.integers(), st.text(max_size=3), st.booleans(), st.none()),
     lambda inner: st.lists(inner, max_size=3)
@@ -141,10 +143,8 @@ ROWS = {
                       max_size=5).map(joined),
     "mapping": mapping(),
     "fn": weight_function(),
-    # an empty family reads no marked set: there is no graph to read it
-    # against, and TestWeightedSystem pins that it holds
-    "functions": st.lists(weight_function(), min_size=1, max_size=2)
-                   .map(joined),
+    # an empty family reads the marked set with no graph to bound it
+    "functions": st.lists(weight_function(), max_size=2).map(joined),
     "family": FAMILY,
     "masks": good(st.lists(st.integers(-1, 1 << 9), max_size=4).map(tuple)),
     "text": TEXT,
@@ -299,6 +299,15 @@ PROBES = [
      "not an integer"),
     (lambda: G2.degree(-1), "vertex query contains vertex -1, outside 0..1"),
     (lambda: symcover.rat("x"), "'x' is not an exact rational"),
+    (lambda: symcover.parse_graph6(5), "graph6 text must be a str, got 5"),
+    (lambda: symcover.parse_edge_list(5), "edge list must be a str, got 5"),
+    (lambda: symcover.generate(5), "family spec must be a str, got 5"),
+    # no function bounds the marked set, and its members are read all
+    # the same
+    (lambda: symcover.verify_weighted_system(["a", 0.5], ()),
+     "marked vertex must be a nonnegative integer, got 'a'"),
+    (lambda: symcover.verify_weighted_system([0.5], []),
+     "marked vertex must be a nonnegative integer, got 0.5"),
 ]
 
 

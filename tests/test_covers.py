@@ -30,6 +30,7 @@ from symcover.covers import (
     CoverSolution,
     _CoverSearch,
     _extremality_cached,
+    _fixed_vertex,
     _search_order,
     _solve_cover,
     extremality_report,
@@ -477,8 +478,8 @@ def test_optimum_ends_at_the_root_when_the_pack_bound_meets_the_greedy(
 ], ids=["circulant", "gnp"])
 def test_report_searches_the_plain_cover_as_the_plain_call_does(pattern,
                                                                 host):
-    # the incumbent reads no group, so the report's plain search, which
-    # runs after the host's orbits are known, explores the same tree
+    # the plain search reads the host's orbits whether or not they are
+    # cached, so the report's plain search explores the same tree
     pattern, host = generate(pattern), host()
     plain = vertex_representativity(pattern, host)
     assert plain.value > 0
@@ -807,24 +808,24 @@ def _gnp(seed, n, p):
 
 
 # The search tree is pinned: a change to the branching pick, the bound, the
-# incumbent or the witness pass that moves any of these values must edit
-# this table.
+# incumbent, the start node or the witness pass that moves any of these
+# values must edit this table.
 # Each row is (pattern, host, plain, invariant) with covers as
 # (value, witness, nodes_explored, orbit_ids).
 SEARCH_TREES = [
     ("path:4", lambda: circulant(20, (1, 3)),
-     (8, (0, 2, 4, 6, 8, 12, 14, 16), 260, None),
+     (8, (0, 2, 4, 6, 8, 12, 14, 16), 202, None),
      (20, tuple(range(20)), 1, (0,))),
     ("cycle:4", lambda: circulant(21, (1, 2, 5)),
-     (9, (0, 1, 4, 7, 8, 11, 14, 15, 18), 658, None),
+     (9, (0, 1, 4, 7, 8, 11, 14, 15, 18), 514, None),
      (21, tuple(range(21)), 1, (0,))),
     ("complete:3", lambda: kneser(7, 2),
-     (10, (0, 1, 2, 3, 6, 7, 8, 11, 12, 15), 369, None),
+     (10, (0, 1, 2, 3, 6, 7, 8, 11, 12, 15), 291, None),
      (21, tuple(range(21)), 1, (0,))),
     ("tailed-star:3", lambda: circulant(21, (1, 8)),
-     (7, (0, 3, 6, 9, 12, 15, 18), 301, None),
+     (7, (0, 3, 6, 9, 12, 15, 18), 235, None),
      (21, tuple(range(21)), 1, (0,))),
-    # orbits of sizes 1 to 3, so the invariant search is weighted
+    # orbits of sizes 1, 2 and 8, so the invariant search is weighted
     ("path:4", lambda: generate("union:cycle:8+path:7+path:9"),
      (5, (0, 4, 11, 16, 20), 13, None),
      (11, (0, 1, 2, 3, 4, 5, 6, 7, 11, 17, 21), 13, (0, 4, 7))),
@@ -836,7 +837,7 @@ SEARCH_TREES = [
      (10, (0, 1, 4, 5, 6, 7, 9, 12, 14, 17), 420,
       (0, 1, 4, 5, 6, 7, 9, 12, 14, 17))),
     ("path:4", lambda: circulant(32, (1, 4)),
-     (15, (0, 1, 3, 5, 7, 10, 12, 13, 17, 18, 20, 23, 25, 27, 30), 12629,
+     (15, (0, 1, 3, 5, 7, 10, 12, 13, 17, 18, 20, 23, 25, 27, 30), 9445,
       None),
      (32, tuple(range(32)), 1, (0,))),
 ]
@@ -851,3 +852,95 @@ def test_search_tree_is_pinned(pattern, host, plain, invariant):
     assert vertex_representativity(pattern, host) == CoverSolution(*plain)
     assert symmetric_vertex_representativity(pattern, host) == (
         CoverSolution(*invariant))
+
+
+# min_hitting_set reads no group: its search starts at the root, and these
+# are its nodes on the SEARCH_TREES rows and on the two cover rows of
+# tests/ci/cover_rows.py with at most 40 vertices not among them
+ROOT_TREES = [(row[0], row[1], nodes) for row, nodes in zip(
+    SEARCH_TREES, [260, 658, 369, 301, 13, 257, 420, 12629])] + [
+    ("tailed-star:3", lambda: circulant(30, (1, 3, 8)), 6839 + 3647),
+    ("path:3", lambda: circulant(40, (1, 7)), 4617 + 3816)]
+
+
+class TestFixedVertex:
+    """``vertex_representativity`` starts its optimum search at the node
+    that has chosen the lowest vertex of the first footprint inside one
+    orbit of the host (``_fixed_vertex``), and ``min_hitting_set`` starts
+    at the root.  Values and witnesses agree; only the node counts may
+    differ, and they are equal when no orbit holds a footprint."""
+
+    @pytest.mark.parametrize(
+        "pattern, host, nodes", ROOT_TREES,
+        ids=["C20-1-3", "C21-1-2-5", "kneser-7-2", "C21-1-8", "union-costs",
+             "random-3-16", "random-5-18", "C32-1-4", "C30-1-3-8",
+             "C40-1-7"])
+    def test_same_answer_as_min_hitting_set(self, pattern, host, nodes):
+        pattern, host = generate(pattern), host()
+        family = footprints_of(pattern, host)
+        want = min_hitting_set(family)
+        assert want.nodes_explored == nodes
+        got = vertex_representativity(pattern, host)
+        assert (got.value, got.witness) == (want.value, want.witness)
+        if _fixed_vertex(family.masks, host) is None:
+            assert got == want
+
+    def test_fires_only_on_a_footprint_inside_one_orbit(self):
+        # the orbits of P5 are {0, 4}, {1, 3} and {2}, and no edge lies in
+        # one, so the search starts at the root; in P6 the middle edge
+        # {2, 3} is an orbit
+        pattern = generate("path:2")
+        host = generate("path:5")
+        family = footprints_of(pattern, host)
+        assert _fixed_vertex(family.masks, host) is None
+        sol = vertex_representativity(pattern, host)
+        assert sol.value == 2
+        assert sol == min_hitting_set(family)
+        host = generate("path:6")
+        assert _fixed_vertex(footprints_of(pattern, host).masks, host) == 2
+        # a trivial group holds no footprint of two or more vertices
+        pattern, host = generate("tailed-star:3"), _gnp(83, 14, 0.3)
+        family = footprints_of(pattern, host)
+        assert _fixed_vertex(family.masks, host) is None
+        assert vertex_representativity(pattern, host) == (
+            min_hitting_set(family))
+
+    def test_reads_no_orbits_past_the_vertex_cap(self):
+        host = generate("path:70")
+        with pytest.raises(ResourceLimitError):
+            uncached_orbits(host)
+        masks = footprints_of(generate("path:2"), host).masks
+        assert _fixed_vertex(masks, host) is None
+        assert _fixed_vertex((), generate("cycle:5")) is None
+
+    def test_budget_stops_bracket_the_optimum(self):
+        # every stop in either phase brackets the optimum: the start node
+        # charges the fixed vertex's cost, so the upper bound counts it
+        pattern, host = generate("path:4"), circulant(20, (1, 3))
+        full = vertex_representativity(pattern, host)
+        assert full.nodes_explored < min_hitting_set(
+            footprints_of(pattern, host)).nodes_explored
+        for budget in range(full.nodes_explored):
+            with pytest.raises(ResourceLimitError) as stop:
+                vertex_representativity(pattern, host, node_budget=budget)
+            assert (stop.value.best_lower <= full.value
+                    <= stop.value.best_upper), budget
+
+
+def test_fixed_start_keeps_the_optimum_and_its_cost():
+    # fixing any unit of an optimal cover leaves the optimum, and
+    # ``upper`` is the cost of the cover returned, the fixed unit's too
+    rng = random.Random(59)
+    for _ in range(150):
+        n = rng.randrange(4, 10)
+        sets = _search_order({
+            sum(1 << u for u in rng.sample(range(n), rng.randrange(2, 4)))
+            for _ in range(rng.randrange(3, 13))})
+        costs = {u: rng.randrange(1, 5) for u in range(n)}
+        opt, witness, _ = _solve_cover(sets, costs, NODE_BUDGET)
+        for u in bits_of(witness):
+            search = _CoverSearch(sets, costs, NODE_BUDGET)
+            cover = search.optimum(u)
+            assert all(s & cover for s in sets)
+            assert search.upper == opt == sum(costs[v]
+                                              for v in bits_of(cover))
